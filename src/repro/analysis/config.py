@@ -35,7 +35,7 @@ class LockGuard:
     ``__init__`` is exempt by default (construction happens-before any
     sharing), as is any method whose name ends in ``_locked`` — the
     codebase convention for "caller holds the lock"
-    (:meth:`repro.crypto.paillier.RandomnessPool._obfuscator_locked`).
+    (:meth:`repro.crypto.paillier.RandomnessPool._draw_residues_locked`).
     """
 
     class_name: str

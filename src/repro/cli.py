@@ -311,6 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconnect attempts after a transport failure; reconnects "
         "resume from the last acknowledged chunk",
     )
+    query_cmd.add_argument(
+        "--metrics-json", metavar="PATH", default=None,
+        help="after a successful query, write the client's phase seconds "
+        "(encrypt, decrypt, resume), encryptions and bytes up/down to PATH "
+        "as one JSON object",
+    )
 
     return parser
 
@@ -836,18 +842,25 @@ def cmd_stats(args, out) -> int:
 
 
 def cmd_query(args, out) -> int:
+    import json
+    import time
+
     from repro.net.transport import RetryPolicy, SocketTransport
+    from repro.obs.tracing import Tracer
     from repro.spfe.session import ClientSession, run_resilient
 
     indices = [int(token) for token in args.select.split(",") if token.strip()]
     selection = indices_to_bits(args.n, indices)
+    tracer = Tracer() if args.metrics_json else None
     client = ClientSession(
-        selection, key_bits=args.key_bits, chunk_size=args.chunk_size
+        selection, key_bits=args.key_bits, chunk_size=args.chunk_size,
+        tracer=tracer,
     )
     timeout = args.timeout or None
     if args.retries < 0:
         raise ReproError("--retries must be non-negative")
     policy = RetryPolicy(max_attempts=args.retries + 1)
+    started = time.perf_counter()
     run_resilient(
         client,
         lambda: SocketTransport.connect(
@@ -856,11 +869,29 @@ def cmd_query(args, out) -> int:
         ),
         policy=policy,
     )
+    wall_s = time.perf_counter() - started
     out.write("private sum of %d elements: %d\n" % (len(indices), client.result))
     out.write("bytes up/down: %d / %d\n"
               % (client.bytes_sent, client.bytes_received))
     out.write("encryptions: %d (chunk frames sent: %d)\n"
               % (client.encryptions, client.chunk_frames_sent))
+    if tracer is not None:
+        totals = tracer.totals()
+        record = {
+            "wall_s": wall_s,
+            "phase_seconds": {
+                phase: totals.get(phase, 0.0)
+                for phase in ("encrypt", "decrypt", "resume")
+            },
+            "encryptions": client.encryptions,
+            "chunk_frames_sent": client.chunk_frames_sent,
+            "bytes_up": client.bytes_sent,
+            "bytes_down": client.bytes_received,
+        }
+        with open(args.metrics_json, "w") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        out.write("metrics written: %s\n" % args.metrics_json)
     return 0
 
 

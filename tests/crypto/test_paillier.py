@@ -5,6 +5,8 @@ arithmetic is size-independent.  The paper's 512-bit size is exercised
 once in the integration tests and in the live microbenchmarks.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,15 @@ class TestKeyGeneration:
 
         with pytest.raises(KeyGenerationError):
             PaillierPrivateKey(keypair.public, 3, 5)
+
+    @pytest.mark.parametrize("p, q", [(7, 3), (3, 7), (23, 47)])
+    def test_private_key_rejects_gcd_n_phi_not_one(self, p, q):
+        """Regression: gcd(n, phi(n)) != 1 (q | p - 1 here) used to be
+        accepted; the key-owner sampler's distribution argument needs it."""
+        from repro.crypto.paillier import PaillierPrivateKey
+
+        with pytest.raises(KeyGenerationError):
+            PaillierPrivateKey(PaillierPublicKey(p * q), p, q)
 
     def test_public_key_equality_and_hash(self, keypair, other_keypair):
         clone = PaillierPublicKey(keypair.public.n)
@@ -493,6 +504,79 @@ class TestCrtEncryption:
         assert sk.raw_decrypt(ciphertext) == plaintext
 
 
+def _lam(sk):
+    return math.lcm(sk.p - 1, sk.q - 1)
+
+
+class TestKeyOwnerSampling:
+    """Obfuscators sampled through the factors: the textbook distribution."""
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (5, 7), (11, 13), (17, 19)])
+    def test_exhaustive_distribution_matches_textbook(self, p, q):
+        from collections import Counter
+
+        from repro.crypto.paillier import PaillierPrivateKey
+
+        pk = PaillierPublicKey(p * q)
+        sk = PaillierPrivateKey(pk, p, q)
+        sampled = Counter(
+            sk.obfuscator_from_units(x_p, x_q)
+            for x_p in range(1, p)
+            for x_q in range(1, q)
+        )
+        textbook = Counter(
+            pow(r, pk.n, pk.nsquare)
+            for r in range(1, pk.n)
+            if math.gcd(r, pk.n) == 1
+        )
+        assert set(sampled) == set(textbook)
+        total_s, total_t = sum(sampled.values()), sum(textbook.values())
+        for value in textbook:
+            assert sampled[value] * total_t == textbook[value] * total_s
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**96), st.integers())
+    def test_ciphertexts_are_valid_and_decrypt(self, keypair, m, seed):
+        pk, sk = keypair.public, keypair.private
+        plaintext = m % pk.n
+        pool = RandomnessPool(pk, DeterministicRandom(seed), private_key=sk)
+        c = pk.encrypt_raw(plaintext, pool)
+        # c * (1 - m n) = r^n, whose order divides lambda
+        assert pow(c * (1 - plaintext * pk.n) % pk.nsquare, _lam(sk), pk.nsquare) == 1
+        assert sk.raw_decrypt(c) == plaintext
+        assert pool.misses == 1 and pool.generated == 0
+
+    def test_pool_paths_agree_and_count(self, keypair):
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, "owner-pool", private_key=sk)
+        pool.precompute(3)
+        values = pool.take_many(5)
+        assert (pool.generated, pool.misses, len(pool)) == (3, 2, 0)
+        assert len(set(values)) == 5
+        for obf in values:
+            assert pow(obf, _lam(sk), pk.nsquare) == 1
+            assert sk.raw_decrypt(pk.raw_encrypt(0, obf)) == 0
+        c = EncryptedNumber.encrypt(pk, -42, pool=pool)
+        assert c.decrypt(sk) == -42
+
+    def test_seeded_pool_is_deterministic(self, keypair):
+        pk, sk = keypair.public, keypair.private
+        a = RandomnessPool(pk, "owner-det", private_key=sk)
+        b = RandomnessPool(pk, "owner-det", private_key=sk)
+        assert a.take_many(4) == [b.take() for _ in range(4)]
+
+    def test_rejects_fixed_base_and_foreign_keys(self, keypair, other_keypair):
+        pk, sk = keypair.public, keypair.private
+        with pytest.raises(ValueError):
+            RandomnessPool(pk, "x", fixed_base=True, private_key=sk)
+        with pytest.raises(KeyMismatchError):
+            RandomnessPool(pk, "x", private_key=other_keypair.private)
+        foreign = RandomnessPool(other_keypair.public, "x")
+        with pytest.raises(KeyMismatchError):
+            pk.encrypt_raw(1, foreign)
+        assert foreign.misses == 0
+
+
 class TestTakeMany:
     def test_matches_sequential_takes(self, keypair):
         a = RandomnessPool(keypair.public, "many-vs-take")
@@ -525,10 +609,19 @@ class TestRefillDoesNotBlockConsumers:
     a refill runs its modular exponentiations."""
 
     def test_lock_is_free_during_refill_pow(self, keypair, monkeypatch):
+        pool = RandomnessPool(keypair.public, "refill-block")
+        self._assert_lock_free_in_pow(pool, {keypair.public.nsquare}, monkeypatch)
+
+    def test_lock_is_free_during_key_owner_refill_pow(self, keypair, monkeypatch):
+        sk = keypair.private
+        pool = RandomnessPool(keypair.public, "refill-block", private_key=sk)
+        self._assert_lock_free_in_pow(pool, {sk.p * sk.p, sk.q * sk.q}, monkeypatch)
+
+    @staticmethod
+    def _assert_lock_free_in_pow(pool, moduli, monkeypatch):
         import builtins
         import threading
 
-        pool = RandomnessPool(keypair.public, "refill-block")
         real_pow = builtins.pow
         in_pow = threading.Event()
         proceed = threading.Event()
@@ -537,7 +630,7 @@ class TestRefillDoesNotBlockConsumers:
         def instrumented_pow(*args):
             if (
                 len(args) == 3
-                and args[2] == keypair.public.nsquare
+                and args[2] in moduli
                 and threading.get_ident() in refill_thread_id
             ):
                 in_pow.set()

@@ -6,7 +6,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.paillier import PaillierPublicKey, generate_keypair
 from repro.crypto.rng import DeterministicRandom
+from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ProtocolError, SessionResumeError
@@ -107,6 +109,101 @@ class TestOverRealSockets:
             a.close()
             b.close()
         assert client.result == database.select_sum(selection)
+
+
+class _TextbookKey(PaillierPublicKey):
+    """Ignores the session's pool and encrypts with textbook ``r^n``."""
+
+    __slots__ = ()
+
+    def encrypt_raw(self, plaintext, rng=None):
+        return super().encrypt_raw(plaintext)
+
+
+def _chunk_ciphertexts(frames_bytes, key_bits):
+    values = []
+    for frame in _decode_frames(b"".join(frames_bytes)):
+        if frame.frame_type == FrameType.ENC_CHUNK:
+            values.extend(codec.decode_ciphertext_chunk(frame.payload, key_bits))
+    return values
+
+
+class TestKeyOwnerSampling:
+    """The client's obfuscators come from its factors; sums must not move."""
+
+    @pytest.fixture(scope="class")
+    def keypair(self):
+        return generate_keypair(128, "session-owner-key")
+
+    def _clients(self, selection, keypair):
+        textbook = SchemeKeyPair(_TextbookKey(keypair.public.n), keypair.private)
+        return (
+            make_client(selection, chunk_size=7, keypair=keypair),
+            make_client(selection, chunk_size=7, keypair=textbook),
+        )
+
+    def test_in_memory_sums_match_textbook(self, workload_bytes, keypair):
+        database, selection = workload_bytes
+        sampled, textbook = self._clients(selection, keypair)
+        frames = list(sampled.initial_bytes())
+        drive(frames, ServerSession(database), sampled)
+        expected = database.select_sum(selection)
+        assert sampled.result == expected
+        assert run_sessions_in_memory(textbook, ServerSession(database)) == expected
+        assert sampled.pool.misses == len(selection)
+        assert textbook.pool.misses == 0
+        ciphertexts = _chunk_ciphertexts(frames, 128)
+        assert [keypair.private.raw_decrypt(c) for c in ciphertexts] == selection
+
+    def test_tcp_sums_match_textbook(self, workload_bytes, keypair):
+        from repro.net.server import SpfeServer
+        from repro.net.transport import SocketTransport
+        from repro.spfe.session import run_resilient
+
+        database, selection = workload_bytes
+        with SpfeServer(database, read_timeout=5.0) as server:
+            values = [
+                run_resilient(
+                    client,
+                    lambda: SocketTransport.connect(
+                        "127.0.0.1", server.port,
+                        connect_timeout=5.0, read_timeout=5.0,
+                    ),
+                )
+                for client in self._clients(selection, keypair)
+            ]
+        assert values == [database.select_sum(selection)] * 2
+
+    def test_resume_never_resamples(self, workload_bytes):
+        """After a cut and a RESUME the pool has drawn exactly one
+        obfuscator per element: the chunk lost with the connection is
+        re-sent from cache as bytes, never re-encrypted."""
+        database, selection = workload_bytes
+        registry = SessionRegistry()
+        client = make_client(selection, chunk_size=9)  # 7 chunks over n=60
+        delivered = []
+
+        server1 = ServerSession(database, registry=registry)
+        stream = client.initial_bytes()
+        for _ in range(2 + 3):  # HELLO, PUBLIC_KEY, 3 chunks
+            delivered.append(next(stream))
+            server1.receive_bytes(delivered[-1])
+        lost = next(stream)  # chunk 3 is built, then the connection dies
+        stream.close()
+
+        server2 = ServerSession(database, registry=registry)
+        client.receive_bytes(server2.receive_bytes(client.resume_request()))
+        resent = list(client.resume_bytes())
+        drive(resent, server2, client)
+
+        assert client.result == database.select_sum(selection)
+        assert resent[0] == lost
+        assert client.encryptions == len(selection)
+        assert client.pool.misses == len(selection)
+        assert client.pool.generated == 0 and len(client.pool) == 0
+        ciphertexts = _chunk_ciphertexts(delivered + resent, 128)
+        assert len(ciphertexts) == len(selection)
+        assert len(set(ciphertexts)) == len(ciphertexts)
 
 
 class TestValidationAndErrors:

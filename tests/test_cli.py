@@ -196,9 +196,11 @@ class TestServeQuery:
 
             time.sleep(0.02)
 
+        metrics_path = tmp_path / "client-metrics.json"
         code, output = run_cli(
             "query", "--port", str(port), "--n", "50",
             "--select", "0,10,20", "--key-bits", "128",
+            "--metrics-json", str(metrics_path),
         )
         server_thread.join(timeout=10)
         assert code == 0, output
@@ -206,6 +208,20 @@ class TestServeQuery:
         expected = values[0] + values[10] + values[20]
         assert "private sum of 3 elements: %d" % expected in output
         assert "served" in server_out.getvalue()
+
+        import json
+
+        record = json.loads(metrics_path.read_text())
+        match = re.search(r"bytes up/down: (\d+) / (\d+)", output)
+        assert (record["bytes_up"], record["bytes_down"]) == (
+            int(match.group(1)), int(match.group(2))
+        )
+        assert record["encryptions"] == 50
+        phases = record["phase_seconds"]
+        assert set(phases) == {"encrypt", "decrypt", "resume"}
+        assert phases["encrypt"] > 0 and phases["decrypt"] > 0
+        assert phases["resume"] == 0.0
+        assert sum(phases.values()) <= record["wall_s"]
 
     def test_serve_drops_silent_peer_without_spending_budget(self, tmp_path):
         """A client that connects and says nothing hits the read
