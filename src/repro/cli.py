@@ -314,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument(
         "--metrics-json", metavar="PATH", default=None,
         help="after a successful query, write the client's phase seconds "
-        "(encrypt, decrypt, resume), encryptions and bytes up/down to PATH "
-        "as one JSON object",
+        "(encrypt, decrypt, resume), CPU seconds (client process, sampling "
+        "workers), encryptions and bytes up/down to PATH as one JSON object",
     )
 
     return parser
@@ -861,6 +861,7 @@ def cmd_query(args, out) -> int:
         raise ReproError("--retries must be non-negative")
     policy = RetryPolicy(max_attempts=args.retries + 1)
     started = time.perf_counter()
+    cpu_started = time.process_time()
     run_resilient(
         client,
         lambda: SocketTransport.connect(
@@ -870,6 +871,7 @@ def cmd_query(args, out) -> int:
         policy=policy,
     )
     wall_s = time.perf_counter() - started
+    cpu_s = time.process_time() - cpu_started
     out.write("private sum of %d elements: %d\n" % (len(indices), client.result))
     out.write("bytes up/down: %d / %d\n"
               % (client.bytes_sent, client.bytes_received))
@@ -883,6 +885,9 @@ def cmd_query(args, out) -> int:
                 phase: totals.get(phase, 0.0)
                 for phase in ("encrypt", "decrypt", "resume")
             },
+            # obfuscator sampling runs in worker processes, whose CPU
+            # this process's own clock never sees
+            "cpu_s": {"client": cpu_s, "workers": client.pool.worker_cpu_s},
             "encryptions": client.encryptions,
             "chunk_frames_sent": client.chunk_frames_sent,
             "bytes_up": client.bytes_sent,

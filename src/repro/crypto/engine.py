@@ -52,6 +52,17 @@ is created lazily on first parallel call and torn down by
 :class:`~repro.net.server.SpfeServer` closes an engine it was given as
 part of its drain path.
 
+**Key-owner sampling.**  :func:`key_owner_obfuscators` is the
+deployed client's fan-out: a process-wide :class:`WarmWorkerPool`
+(one worker per CPU, spawned on the first batch large enough to be
+worth it) turns the ``(x_p, x_q)`` units the client's
+:class:`~repro.crypto.paillier.RandomnessPool` drew into key-owner
+obfuscators, one contiguous slice per worker.  The units are drawn in
+the parent, so the output is the serial sequence byte for byte; every
+fallback (one CPU, a small batch, a pool that would not start or broke
+mid-batch) computes the same units in-process.  The factors reach only
+the client's own forked workers.
+
 **Thread safety.**  One engine is shared by every worker thread of a
 concurrent :class:`~repro.net.server.SpfeServer`.  Pool lifecycle
 state lives in :class:`WarmWorkerPool` behind its own lock; the
@@ -62,7 +73,9 @@ mechanically.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 import struct
 import threading
 import time
@@ -82,6 +95,7 @@ __all__ = [
     "KeyContextCache",
     "DEFAULT_CHUNK_SIZE",
     "chunk_size_for",
+    "key_owner_obfuscators",
 ]
 
 #: Elements per dispatched chunk at the 512-bit reference key size.
@@ -130,6 +144,7 @@ _FRAME_LEN = struct.Struct(">I")
 #: Key-blob kind tags (first byte of a key blob / task).
 _KIND_ENCRYPT = b"\x01"
 _KIND_WEIGHTED = b"\x02"
+_KIND_KEY_OWNER = b"\x03"
 
 #: Weighted-kernel flag bits (packed into the key blob).
 _FLAG_MULTIEXP = 1
@@ -183,6 +198,10 @@ def _weighted_key_blob(
     )
 
 
+def _key_owner_key_blob(p: int, q: int) -> bytes:
+    return _KIND_KEY_OWNER + pack_int_vector([p, q])
+
+
 class _EncryptContext:
     """Derived per-key encryption state a worker keeps warm."""
 
@@ -221,12 +240,26 @@ class _WeightedContext:
             self.montgomery = MontgomeryContext(ct_modulus)
 
 
+class _KeyOwnerContext:
+    """The client's private key, rebuilt once per sampling worker."""
+
+    __slots__ = ("private",)
+
+    def __init__(self, blob: bytes) -> None:
+        from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
+
+        p, q = unpack_int_vector(blob)
+        self.private = PaillierPrivateKey(PaillierPublicKey(p * q), p, q)
+
+
 def _context_from_blob(key_blob: bytes) -> Any:
     kind, body = key_blob[:1], key_blob[1:]
     if kind == _KIND_ENCRYPT:
         return _EncryptContext(body)
     if kind == _KIND_WEIGHTED:
         return _WeightedContext(body)
+    if kind == _KIND_KEY_OWNER:
+        return _KeyOwnerContext(body)
     raise ParameterError("unknown key-blob kind %r" % kind)
 
 
@@ -342,6 +375,25 @@ def _weighted_chunk_packed(task: bytes) -> bytes:
             )
             partial = partial * term % ct_modulus
     return pack_int_vector([partial])
+
+
+def _key_owner_chunk_packed(task: bytes) -> bytes:
+    """Key-owner obfuscators for one packed slice of ``(x_p, x_q)`` units.
+
+    Returns two frames: the packed obfuscators, in unit order, and the
+    CPU nanoseconds this process spent on the slice (so client CPU that
+    moves into workers stays visible to the caller).
+    """
+    started = time.process_time_ns()
+    key_blob, payload = _unpack_frames(task)
+    private = _WORKER_CACHE.get(key_blob).private
+    flat = unpack_int_vector(payload)
+    out = [
+        private.obfuscator_from_units(x_p, x_q)
+        for x_p, x_q in zip(flat[0::2], flat[1::2])
+    ]
+    spent = time.process_time_ns() - started
+    return _pack_frames(pack_int_vector(out), pack_int_vector([spent]))
 
 
 class WarmWorkerPool:
@@ -882,3 +934,92 @@ _KERNELS: Dict[bytes, Callable[[bytes], bytes]] = {
     _KIND_ENCRYPT: _encrypt_chunk_packed,
     _KIND_WEIGHTED: _weighted_chunk_packed,
 }
+
+
+# -- key-owner obfuscator fan-out (the deployed client) ----------------------
+
+#: Smallest batch worth a round-trip to the workers, as units times
+#: ``key_bits**3`` (per-unit cost grows roughly cubically with the key):
+#: sixteen units at 512 bits, ~7 ms of serial work.  A 64-unit chunk at
+#: 256 bits or below stays in-process.
+_KEY_OWNER_FANOUT_MIN_WORK = 16 * 512**3
+
+
+def _cpu_count() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+#: The process-wide sampling pool.  Constructing it spawns nothing; the
+#: workers start on the first :func:`key_owner_obfuscators` batch that
+#: fans out.
+_KEY_OWNER_POOL = WarmWorkerPool(_cpu_count())
+
+
+def _close_key_owner_pool() -> None:
+    # Shut the workers down while the interpreter is intact, rather than
+    # leave the executor to module teardown, where its weakref callback
+    # can run against already-cleared modules.
+    _KEY_OWNER_POOL.close()
+
+
+def _forget_key_owner_pool() -> None:
+    # A forked child inherits the parent's executor handle, whose
+    # queues lead to the parent's workers.  Drop it unused; the child
+    # spawns its own pool on its first fan-out.
+    global _KEY_OWNER_POOL
+    _KEY_OWNER_POOL = WarmWorkerPool(_cpu_count())
+
+
+atexit.register(_close_key_owner_pool)
+os.register_at_fork(after_in_child=_forget_key_owner_pool)
+
+
+def key_owner_obfuscators(
+    private_key: Any, units: Sequence[Tuple[int, int]]
+) -> Tuple[List[int], float]:
+    """``private_key.obfuscator_from_units`` over ``units``, fanned out.
+
+    Returns the obfuscators in unit order and the CPU seconds worker
+    processes spent on them (0.0 when the batch ran in-process).  A
+    batch worth at least :data:`_KEY_OWNER_FANOUT_MIN_WORK` is split into
+    one contiguous slice per worker of the process-wide pool; the parent
+    waits rather than computing a slice itself (measured faster).  With
+    one CPU, a smaller batch, or a pool that cannot start, the units are
+    computed in-process; a pool that breaks mid-batch (a killed worker)
+    is retired and the same units are recomputed in-process — they were
+    never used, so nothing is reused.
+    """
+    pool = _KEY_OWNER_POOL
+    bits = private_key.public_key.bits
+    if len(units) > 1 and len(units) * bits**3 >= _KEY_OWNER_FANOUT_MIN_WORK:
+        key_blob = _key_owner_key_blob(private_key.p, private_key.q)
+        executor = pool.acquire(key_blob)
+        if executor is not None:
+            share = -(-len(units) // pool.workers)
+            tasks = [
+                _pack_frames(
+                    key_blob,
+                    pack_int_vector([v for unit in units[i : i + share] for v in unit]),
+                )
+                for i in range(0, len(units), share)
+            ]
+            try:
+                results = list(executor.map(_key_owner_chunk_packed, tasks))
+            # Same contract as CryptoEngine._run_packed: a broken pool
+            # degrades to the in-process redo below, where a genuine
+            # kernel bug reproduces and raises.
+            # seclint: disable=SEC005 -- broken pool degrades to serial redo by design
+            except Exception:
+                dead = pool.mark_broken()
+                if dead is not None:
+                    dead.shutdown(wait=False, cancel_futures=True)
+            else:
+                obfuscators: List[int] = []
+                spent_ns = 0
+                for packed in results:
+                    values, spent = _unpack_frames(packed)
+                    obfuscators.extend(unpack_int_vector(values))
+                    spent_ns += unpack_int_vector(spent)[0]
+                return obfuscators, spent_ns / 1e9
+    return [private_key.obfuscator_from_units(x_p, x_q) for x_p, x_q in units], 0.0

@@ -36,6 +36,7 @@ import math
 import threading
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.crypto.engine import key_owner_obfuscators
 from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.ntheory import bytes_for_bits, modinv, crt_pair
 from repro.crypto.primes import random_prime_pair
@@ -414,7 +415,12 @@ class RandomnessPool:
     :meth:`PaillierPrivateKey.obfuscator_from_units`: the textbook
     distribution at ~2.7x less cost per obfuscator.  This is the
     deployed client's sampler (:class:`~repro.spfe.session.ClientSession`);
-    it cannot be combined with ``fixed_base``.
+    it cannot be combined with ``fixed_base``.  Its batches are computed
+    by :func:`~repro.crypto.engine.key_owner_obfuscators`, which fans a
+    large batch out over a process-wide pool of worker processes; the
+    units are still drawn here, under the lock, so the sequence is the
+    serial one byte for byte.  :meth:`expect` makes each miss compute a
+    whole chunk's worth at once.
 
     The pool is thread-safe: ``take``/``precompute``/``len`` may be
     called from concurrent sessions (e.g. under a
@@ -459,6 +465,12 @@ class RandomnessPool:
         #: counted separately from ``generated`` so cost accounting can
         #: tell offline-this-process from offline-a-previous-process.
         self.restored = 0
+        #: CPU seconds worker processes spent on this pool's key-owner
+        #: batches (the caller's own ``process_time`` does not see them)
+        self.worker_cpu_s = 0.0
+        #: announced online demand (see :meth:`expect`)
+        self._expected = 0
+        self._miss_batch = 1
 
     def _ensure_table_locked(self) -> FixedBaseTable:
         """Build the per-key fixed-base table once; caller holds the lock."""
@@ -516,7 +528,11 @@ class RandomnessPool:
         if key is not None:
             with self._lock:
                 units = [key.draw_units(self._rng) for _ in range(count)]
-            return [key.obfuscator_from_units(x_p, x_q) for x_p, x_q in units]
+            values, worker_cpu_s = key_owner_obfuscators(key, units)
+            if worker_cpu_s:
+                with self._lock:
+                    self.worker_cpu_s += worker_cpu_s
+            return values
         public = self.public_key
         with self._lock:
             residues = self._draw_residues_locked(count)
@@ -552,15 +568,38 @@ class RandomnessPool:
         if shortfall > 0:
             self.precompute(shortfall)
 
+    def expect(self, total: int, batch: int) -> None:
+        """Announce ``total`` coming online takes, consumed ``batch`` at a time.
+
+        A miss then computes ``min(batch, remaining)`` obfuscators at
+        once (all counted in :attr:`misses`) and pools the surplus for
+        the takes that follow, in draw order; a dry pool with nothing
+        left to expect computes one.  The client session announces its
+        selection length and chunk size, so every chunk is one batch and
+        the pool ends the session empty with ``misses == total``.
+        """
+        if total < 0 or batch < 1:
+            raise ValueError("total must be non-negative and batch positive")
+        with self._lock:
+            self._expected = total
+            self._miss_batch = batch
+
     def take(self) -> int:
         """Pop one obfuscator, computing it on the spot if the pool is dry."""
         with self._lock:
             if self._pool:
                 return self._pool.pop()
-            self.misses += 1
+            count = max(1, min(self._miss_batch, self._expected))
+            self._expected = max(0, self._expected - count)
+            self.misses += count
         # Dry pool: compute the miss outside the lock as well, so an
         # unlucky consumer never serialises the others behind a pow().
-        return self._compute_batch(1)[0]
+        batch = self._compute_batch(count)
+        if count > 1:
+            surplus = batch[:0:-1]  # reversed, so pop() yields draw order
+            with self._lock:
+                self._pool.extend(surplus)
+        return batch[0]
 
     def take_many(self, count: int) -> List[int]:
         """Pop ``count`` obfuscators, computing any shortfall on the spot.
@@ -578,6 +617,7 @@ class RandomnessPool:
             taken.reverse()  # match take()'s LIFO pop order
             shortfall = count - available
             self.misses += shortfall
+            self._expected = max(0, self._expected - shortfall)
         if shortfall:
             taken.extend(self._compute_batch(shortfall))
         return taken

@@ -133,9 +133,13 @@ class ClientSession:
         #: key, so it samples ``r^n`` through the factors (same
         #: distribution as textbook ``r^n``, ~2.7x cheaper).  Every
         #: ciphertext is still produced by ``public_key.encrypt_raw``.
+        #: A miss computes the rest of its chunk in one batch, fanned out
+        #: over worker processes when large enough (nothing is spawned or
+        #: drawn until the first ``take``, so replay keys cost nothing).
         self.pool = RandomnessPool(
             self.public_key, self._rng, private_key=self._private_key
         )
+        self.pool.expect(len(self.selection), chunk_size)
         #: 16-byte resumable-session identifier (None on legacy v1 wire)
         self.session_id: Optional[bytes] = (
             self._rng.randbytes(codec.SESSION_ID_BYTES)

@@ -1,4 +1,5 @@
-"""Repo-wide fixtures: the server-backend parametrization.
+"""Repo-wide fixtures: the server-backend parametrization, and a forced
+fan-out of the client's key-owner obfuscator sampling.
 
 The selected-sum server ships two connection front-ends —
 thread-per-connection :class:`~repro.net.server.SpfeServer` and the
@@ -17,6 +18,7 @@ import os
 
 import pytest
 
+from repro.crypto import engine
 from repro.net.aio import AsyncSpfeServer
 from repro.net.server import SpfeServer
 
@@ -53,3 +55,22 @@ def make_server(server_backend):
 
     _make.backend = server_backend
     return _make
+
+
+@pytest.fixture
+def key_owner_fanout(monkeypatch):
+    """Force key-owner sampling onto a fresh two-worker pool.
+
+    The test keys (64-256 bits) sit below the fan-out threshold, so this
+    drops the threshold to zero and swaps in a private
+    :class:`~repro.crypto.engine.WarmWorkerPool` (two workers even on one
+    CPU), closed afterwards; a test that breaks it cannot degrade the
+    process-wide pool for the tests after it.  Yields the pool.
+    """
+    pool = engine.WarmWorkerPool(2)
+    monkeypatch.setattr(engine, "_KEY_OWNER_FANOUT_MIN_WORK", 0)
+    monkeypatch.setattr(engine, "_KEY_OWNER_POOL", pool)
+    try:
+        yield pool
+    finally:
+        pool.close()

@@ -433,3 +433,95 @@ class TestPackedTaskCodec:
 
         with pytest.raises(ParameterError):
             KeyContextCache(capacity=0)
+
+
+def _sampled_session():
+    """One in-memory selected-sum session over n = 40; (client, sum)."""
+    from repro.datastore.database import ServerDatabase
+    from repro.spfe.session import ClientSession, ServerSession, run_sessions_in_memory
+
+    client = ClientSession([1, 0] * 20, key_bits=128, chunk_size=8)
+    total = run_sessions_in_memory(client, ServerSession(ServerDatabase(list(range(40)))))
+    assert total == sum(range(0, 40, 2))
+    return client
+
+
+class TestKeyOwnerPoolLifecycle:
+    """The process-wide key-owner sampling pool across exit and fork."""
+
+    def test_interpreter_exit_is_clean(self):
+        """A pool left to module teardown can print ``Exception ignored
+        in ... weakref_cb`` at exit; the pool is closed at exit instead."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.crypto import engine\n"
+            "from repro.datastore.database import ServerDatabase\n"
+            "from repro.spfe.session import (\n"
+            "    ClientSession, ServerSession, run_sessions_in_memory)\n"
+            "engine._KEY_OWNER_FANOUT_MIN_WORK = 0\n"
+            "engine._KEY_OWNER_POOL = engine.WarmWorkerPool(2)\n"
+            "client = ClientSession([1, 0] * 20, key_bits=128, chunk_size=8)\n"
+            "database = ServerDatabase(list(range(40)))\n"
+            "print(run_sessions_in_memory(client, ServerSession(database)),\n"
+            "      client.pool.worker_cpu_s > 0)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "%d True\n" % sum(range(0, 40, 2))
+        assert proc.stderr == ""
+
+    def test_forked_child_does_not_reuse_parent_pool(self, key_owner_fanout):
+        """Regression: a child forked after the pool started inherited its
+        executor handle, whose queues lead to the parent's workers."""
+        import os
+        import signal
+        import time
+
+        from repro.crypto import engine
+
+        _sampled_session()  # starts the parent's pool
+        inherited = key_owner_fanout._executor
+        assert inherited is not None
+
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                signal.alarm(30)  # a reused executor hangs the child
+                os.close(read_fd)
+                client = _sampled_session()
+                fresh = engine._KEY_OWNER_POOL
+                verdict = (
+                    client.pool.misses == 40
+                    and fresh is not key_owner_fanout
+                    and fresh._executor is not inherited
+                )
+                fresh.close()
+                os.write(write_fd, b"ok" if verdict else b"bad")
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        deadline = time.monotonic() + 60
+        status = None
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read_fd, "rb") as reader:
+            verdict = reader.read()
+        assert verdict == b"ok", "child exit status %r" % status

@@ -577,6 +577,108 @@ class TestKeyOwnerSampling:
         assert foreign.misses == 0
 
 
+def _serial_obfuscators(sk, seed, count):
+    """The serial key-owner path by definition: draw, then sample."""
+    rng = DeterministicRandom(seed)
+    return [sk.obfuscator_from_units(*sk.draw_units(rng)) for _ in range(count)]
+
+
+class TestKeyOwnerFanOut:
+    """Batches fanned out over worker processes: same sequence, same counts."""
+
+    def test_fanned_out_sequence_matches_serial(self, keypair, key_owner_fanout):
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, DeterministicRandom("fan"), private_key=sk)
+        pool.expect(23, 7)
+        values = [pool.take() for _ in range(23)]
+        assert values == _serial_obfuscators(sk, "fan", 23)
+        # one-at-a-time takes (the pre-batching path) agree as well
+        single = RandomnessPool(pk, DeterministicRandom("fan"), private_key=sk)
+        assert [single.take() for _ in range(23)] == values
+        assert (pool.misses, pool.generated, len(pool)) == (23, 0, 0)
+        assert pool.worker_cpu_s > 0 and single.worker_cpu_s == 0
+        assert key_owner_fanout._executor is not None
+
+    def test_precompute_and_take_many_fan_out(self, keypair, key_owner_fanout):
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, DeterministicRandom("fan-pre"), private_key=sk)
+        pool.precompute(40)
+        values = pool.take_many(45)
+        assert values[40:] == _serial_obfuscators(sk, "fan-pre", 45)[40:]
+        assert sorted(values[:40]) == sorted(_serial_obfuscators(sk, "fan-pre", 40))
+        assert (pool.generated, pool.misses, len(pool)) == (40, 5, 0)
+
+    def test_expect_bounds_each_miss(self, keypair):
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, "expect", private_key=sk)
+        pool.expect(10, 4)
+        pool.take()
+        assert (pool.misses, len(pool)) == (4, 3)
+        for _ in range(3 + 4):
+            pool.take()
+        pool.take()  # the last miss covers only the 2 still expected
+        assert (pool.misses, len(pool)) == (10, 1)
+        pool.take()
+        pool.take()  # nothing left to expect: one at a time
+        assert (pool.misses, len(pool)) == (11, 0)
+        with pytest.raises(ValueError):
+            pool.expect(-1, 4)
+        with pytest.raises(ValueError):
+            pool.expect(4, 0)
+
+    def test_concurrent_takes_keep_exact_accounting(self, keypair, key_owner_fanout):
+        import sys
+        import threading
+
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, DeterministicRandom("fan-race"), private_key=sk)
+        pool.expect(200, 9)
+        taken, errors = [], []
+
+        def consume():
+            try:
+                for _ in range(25):
+                    taken.append(pool.take())
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=consume) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(taken) == 150 and len(set(taken)) == 150
+        # every obfuscator computed online was either taken or is pooled
+        assert pool.misses == len(taken) + len(pool)
+        leftover = pool.take_many(len(pool))
+        assert sorted(taken + leftover) == sorted(
+            _serial_obfuscators(sk, "fan-race", pool.misses)
+        )
+
+    def test_pool_start_failure_degrades_to_serial(
+        self, keypair, key_owner_fanout, monkeypatch
+    ):
+        import concurrent.futures
+
+        def boom(*args, **kwargs):
+            raise OSError("no processes in this sandbox")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+        pk, sk = keypair.public, keypair.private
+        pool = RandomnessPool(pk, DeterministicRandom("boom"), private_key=sk)
+        pool.expect(12, 6)
+        values = [pool.take() for _ in range(12)]
+        assert key_owner_fanout.broken
+        assert values == _serial_obfuscators(sk, "boom", 12)
+        assert pool.misses == 12 and pool.worker_cpu_s == 0
+
+
 class TestTakeMany:
     def test_matches_sequential_takes(self, keypair):
         a = RandomnessPool(keypair.public, "many-vs-take")

@@ -206,6 +206,97 @@ class TestKeyOwnerSampling:
         assert len(set(ciphertexts)) == len(ciphertexts)
 
 
+class TestKeyOwnerFanOut:
+    """Each chunk's obfuscators computed as one batch on worker processes."""
+
+    def test_chunk_frames_identical_to_serial(self, workload_bytes, key_owner_fanout):
+        database, selection = workload_bytes
+        serial = make_client(selection, chunk_size=7)
+        serial.pool.expect(len(selection), 1)  # one miss per take, in-process
+        fanned = make_client(selection, chunk_size=7)
+        serial_frames = list(serial.initial_bytes())
+        fanned_frames = list(fanned.initial_bytes())
+        assert fanned_frames == serial_frames
+        assert serial.pool.worker_cpu_s == 0 and fanned.pool.worker_cpu_s > 0
+        drive(fanned_frames, ServerSession(database), fanned)
+        assert fanned.result == database.select_sum(selection)
+        assert fanned.pool.misses == len(selection) and len(fanned.pool) == 0
+
+    def test_replay_key_never_draws(self, workload_bytes, key_owner_fanout):
+        database, selection = workload_bytes
+        keypair = generate_keypair(128, "session-replay-key")
+        textbook = SchemeKeyPair(_TextbookKey(keypair.public.n), keypair.private)
+        client = make_client(selection, chunk_size=7, keypair=textbook)
+        assert run_sessions_in_memory(client, ServerSession(database)) == (
+            database.select_sum(selection)
+        )
+        assert client.pool.misses == 0 and client.pool.worker_cpu_s == 0
+        assert key_owner_fanout._executor is None  # no worker started
+
+    def test_resume_never_resamples_fanned_out(self, workload_bytes, key_owner_fanout):
+        """``test_resume_never_resamples`` on the fanned-out path."""
+        database, selection = workload_bytes
+        registry = SessionRegistry()
+        client = make_client(selection, chunk_size=9)  # 7 chunks over n=60
+        delivered = []
+
+        server1 = ServerSession(database, registry=registry)
+        stream = client.initial_bytes()
+        for _ in range(2 + 3):  # HELLO, PUBLIC_KEY, 3 chunks
+            delivered.append(next(stream))
+            server1.receive_bytes(delivered[-1])
+        lost = next(stream)  # chunk 3 is built, then the connection dies
+        stream.close()
+
+        server2 = ServerSession(database, registry=registry)
+        client.receive_bytes(server2.receive_bytes(client.resume_request()))
+        resent = list(client.resume_bytes())
+        drive(resent, server2, client)
+
+        assert client.result == database.select_sum(selection)
+        assert resent[0] == lost
+        assert client.encryptions == len(selection)
+        assert client.pool.misses == len(selection)
+        assert client.pool.generated == 0 and len(client.pool) == 0
+        ciphertexts = _chunk_ciphertexts(delivered + resent, 128)
+        assert len(ciphertexts) == len(selection)
+        assert len(set(ciphertexts)) == len(ciphertexts)
+        assert client.pool.worker_cpu_s > 0
+
+    def test_worker_killed_mid_session(self, workload_bytes, key_owner_fanout, monkeypatch):
+        """A worker SIGKILLed inside a batch: the parent recomputes that
+        batch's units in-process, so the sum is exact and nothing repeats."""
+        import os
+        import signal
+
+        from repro.crypto.paillier import PaillierPrivateKey
+
+        parent = os.getpid()
+        real = PaillierPrivateKey.obfuscator_from_units
+        calls = []
+
+        def dies_in_worker(self, x_p, x_q):
+            calls.append(1)  # per process: workers fork with their own list
+            if os.getpid() != parent and len(calls) == 6:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, x_p, x_q)
+
+        # patched before the first batch, so the forked workers inherit it
+        monkeypatch.setattr(PaillierPrivateKey, "obfuscator_from_units", dies_in_worker)
+        database, selection = workload_bytes
+        client = make_client(selection, chunk_size=8)  # 4 units per worker slice
+        frames = list(client.initial_bytes())
+        drive(frames, ServerSession(database), client)
+
+        assert key_owner_fanout.broken
+        assert client.result == database.select_sum(selection)
+        assert client.pool.misses == len(selection) == client.encryptions
+        ciphertexts = _chunk_ciphertexts(frames, 128)
+        assert len(set(ciphertexts)) == len(ciphertexts) == len(selection)
+        # everything after the killed batch ran in this process
+        assert len(calls) >= len(selection) - 8
+
+
 class TestValidationAndErrors:
     def test_client_validates_inputs(self):
         with pytest.raises(ProtocolError):

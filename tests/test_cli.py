@@ -163,6 +163,18 @@ class TestPlan:
 class TestServeQuery:
     def test_tcp_round_trip(self, tmp_path):
         """serve and query over a real TCP socket, both via the CLI."""
+        cpu = self._round_trip(tmp_path)
+        assert cpu["client"] > 0
+        assert cpu["workers"] == 0.0  # a 128-bit key stays in-process
+
+    def test_metrics_count_sampling_worker_cpu(self, tmp_path, key_owner_fanout):
+        """Obfuscator sampling fanned out to workers: their CPU is reported
+        next to the client process's own."""
+        cpu = self._round_trip(tmp_path)
+        assert cpu["client"] > 0 and cpu["workers"] > 0
+
+    @staticmethod
+    def _round_trip(tmp_path):
         import io
         import re
         import socket
@@ -222,6 +234,8 @@ class TestServeQuery:
         assert phases["encrypt"] > 0 and phases["decrypt"] > 0
         assert phases["resume"] == 0.0
         assert sum(phases.values()) <= record["wall_s"]
+        assert set(record["cpu_s"]) == {"client", "workers"}
+        return record["cpu_s"]
 
     def test_serve_drops_silent_peer_without_spending_budget(self, tmp_path):
         """A client that connects and says nothing hits the read
