@@ -143,11 +143,10 @@ class AnalysisConfig:
             frozenset({"_executor", "_broken", "_closed", "_primed_key"}),
         ),
         LockGuard("KeyContextCache", "_lock", frozenset({"_contexts"})),
-        LockGuard("SpfeServer", "_active_lock", frozenset({"_active"})),
-        # the backend-neutral accounting core shared by both server
-        # front-ends (threads and asyncio)
-        LockGuard("ServerAccounting", "_budget_lock", frozenset({"_in_flight"})),
-        LockGuard("ServerAccounting", "_peak_lock", frozenset({"_active_peak"})),
+        LockGuard(
+            "SpfeServer", "_active_lock", frozenset({"_active", "_active_peak"})
+        ),
+        LockGuard("SpfeServer", "_budget_lock", frozenset({"_in_flight"})),
         # the durable-state tier: one SQLite connection behind one lock,
         # and the supervisor's child handle + restart accounting
         LockGuard("StateStore", "_lock", frozenset({"_conn"})),

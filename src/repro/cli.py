@@ -135,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument("--port", type=int, default=0, help="0 = ephemeral")
     serve_cmd.add_argument(
-        "--backend", choices=("threads", "asyncio"), default="threads",
-        help="connection front-end: 'threads' runs one worker thread per "
-        "concurrent session; 'asyncio' multiplexes connections on an "
-        "event loop (folds still run off-loop).  Same protocol, policy, "
-        "accounting, and metrics either way",
-    )
-    serve_cmd.add_argument(
         "--queries", type=int, default=1,
         help="completed queries to serve before draining (0 = serve "
         "until interrupted); admission is gated on the budget, so "
@@ -561,11 +554,8 @@ def cmd_keygen(args, out) -> int:
 def cmd_serve(args, out) -> int:
     import threading
 
-    from repro.net.aio import AsyncSpfeServer
     from repro.net.server import SpfeServer
     from repro.spfe.validation import ServerPolicy
-
-    server_cls = AsyncSpfeServer if args.backend == "asyncio" else SpfeServer
 
     if args.queries < 0:
         raise ReproError("--queries must be non-negative")
@@ -615,7 +605,7 @@ def cmd_serve(args, out) -> int:
                 calibration=calibration,
                 metrics=registry,
             )
-        server = server_cls(
+        server = SpfeServer(
             database,
             host=args.host,
             port=args.port,
@@ -635,9 +625,9 @@ def cmd_serve(args, out) -> int:
         host, port = server.address
         timeout = args.timeout or None
         out.write(
-            "serving %d rows on %s:%d (%s backend, %s queries, %d sessions, "
+            "serving %d rows on %s:%d (%s queries, %d sessions, "
             "%s read deadline)\n"
-            % (len(database), host, port, args.backend,
+            % (len(database), host, port,
                str(args.queries) if args.queries else "unlimited",
                args.max_sessions, "%.1fs" % timeout if timeout else "no")
         )

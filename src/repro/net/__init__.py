@@ -22,14 +22,11 @@ from repro.net.transport import (
 )
 from repro.net.wire import Message, MessageLog, vector_wire_bytes
 
-# Imported last: the server runtimes sit above the session layer, which
+# Imported last: the server runtime sits above the session layer, which
 # itself imports the submodules above.
-from repro.net.aio import AsyncSpfeServer  # noqa: E402
-from repro.net.core import ServerAccounting, ServerStats  # noqa: E402
-from repro.net.server import SpfeServer  # noqa: E402
+from repro.net.server import ServerStats, SpfeServer  # noqa: E402
 
 __all__ = [
-    "AsyncSpfeServer",
     "Channel",
     "FaultEvent",
     "FaultKind",
@@ -41,7 +38,6 @@ __all__ = [
     "MessageLog",
     "Pipe",
     "RetryPolicy",
-    "ServerAccounting",
     "ServerStats",
     "SocketTransport",
     "SpfeServer",

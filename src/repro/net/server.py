@@ -34,16 +34,18 @@ Architecture (all plain threads, no extra dependencies):
   then force-closes stragglers.
 * **observability**: every counter lives in a
   :class:`~repro.obs.registry.MetricsRegistry`
-  (:class:`~repro.net.core.ServerStats` is a thin view over it), phase
-  latencies flow through a shared :class:`~repro.obs.tracing.Tracer`,
-  and ``stats_port=...`` opts into a
-  :class:`~repro.obs.http.StatsEndpoint` serving ``/metrics`` and
-  ``/healthz`` on a separate listener.
+  (:class:`ServerStats` is a thin view over it), phase latencies flow
+  through a shared :class:`~repro.obs.tracing.Tracer`, and
+  ``stats_port=...`` opts into a :class:`~repro.obs.http.StatsEndpoint`
+  serving ``/metrics`` and ``/healthz`` on a separate listener.
 
-The budget, gauge, and outcome bookkeeping is *not* implemented here:
-it lives in the backend-neutral :class:`~repro.net.core.ServerAccounting`
-shared with the asyncio front-end (:mod:`repro.net.aio`), so the two
-backends cannot drift in what their counters mean.
+The outcome invariant the test tier enforces::
+
+    sessions_served + sessions_dropped + sessions_rejected
+        == sessions_admitted        (once the server has drained)
+
+``sessions_admitted`` counts connections handed to the protocol layer
+(admission control passed); shed connections never enter the invariant.
 """
 
 from __future__ import annotations
@@ -56,24 +58,135 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datastore.database import ServerDatabase
-from repro.exceptions import ParameterError, TransportError
-from repro.net import codec
-from repro.net.core import (
-    DEFAULT_DRAIN_DEADLINE_S,
-    _POLL_S,
-    _SHED_SEND_BUDGET_S,
-    ServerAccounting,
-    ServerStats,
+from repro.exceptions import (
+    ParameterError,
+    TransportError,
+    TransportTimeout,
+    ValidationError,
 )
+from repro.net import codec
 from repro.net.transport import DEFAULT_RECV_BYTES, SocketTransport
 from repro.obs.http import StatsEndpoint
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.spfe.session import ServerSession, SessionRegistry
 from repro.spfe.validation import ServerPolicy
 from repro.store.state import StateStore
 
 __all__ = ["ServerStats", "SpfeServer", "DEFAULT_DRAIN_DEADLINE_S"]
+
+
+DEFAULT_DRAIN_DEADLINE_S = 30.0
+
+#: how often blocking loops wake to check for drain (also the accept poll)
+_POLL_S = 0.1
+
+#: per-connection send budget for BUSY frames — small enough that even a
+#: flood of never-reading peers drains quickly
+_SHED_SEND_BUDGET_S = 0.05
+
+#: prefix turning a ServerStats field into its registry metric name
+_METRIC_PREFIX = "repro_server_"
+
+#: built-in counters and their exposition help text
+_FIELD_HELP: Dict[str, str] = {
+    "connections_accepted": "TCP connections accepted by the listener.",
+    "sessions_admitted":
+        "Connections that passed admission control and were handed to "
+        "the protocol layer (served + dropped + rejected reconcile "
+        "against this at drain).",
+    "sessions_served": "Protocol runs served to completion.",
+    "sessions_dropped":
+        "Sessions lost to transport failures, peer disconnects, or "
+        "internal errors.",
+    "sessions_shed":
+        "Connections refused with a typed BUSY frame (admission control).",
+    "sessions_rejected": "Sessions answered with a typed ERROR frame.",
+    "validation_rejections":
+        "Rejected sessions that failed a trust-boundary or policy check.",
+    "sessions_errored_internal":
+        "Dropped sessions whose cause was a server-side internal error, "
+        "not the peer (also counted in sessions_dropped).",
+    "bytes_in": "Application bytes received across all sessions.",
+    "bytes_out": "Application bytes sent across all sessions.",
+}
+
+
+class ServerStats:
+    """Named per-server counters, backed by a metrics registry.
+
+    Historically this class kept its own closed dict of counters; it is
+    now a thin view over :class:`~repro.obs.registry.MetricsRegistry`
+    :class:`~repro.obs.registry.Counter` instruments (one
+    ``repro_server_<field>_total`` each), so the same numbers that
+    :meth:`snapshot` reports in-process are scraped from ``/metrics``
+    without a second bookkeeping path that could drift.  ``add``/``get``
+    still reject unknown names — accounting typos stay loud — but the
+    field set is open: :meth:`register` adds new counters.
+
+    ``sessions_admitted`` counts connections that passed admission
+    control; ``sessions_served`` counts completed protocol runs;
+    ``dropped`` is transport-level losses (timeouts, resets, budget
+    exhaustion), of which ``sessions_errored_internal`` were the
+    server's own fault; ``shed`` is admission-control rejections (BUSY);
+    ``rejected`` is sessions answered with a typed ERROR, of which
+    ``validation_rejections`` failed a trust-boundary or policy check.
+    Byte counters aggregate the per-session accounting.
+    """
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counters: Dict[str, Counter] = {}
+        for name, help_text in _FIELD_HELP.items():
+            self.register(name, help_text)
+
+    def register(self, name: str, help_text: str = "") -> Counter:
+        """Add (or fetch) the counter for ``name``; returns the instrument.
+
+        Call during setup, before concurrent ``add``/``get`` traffic:
+        the name->instrument map itself is not lock-guarded.
+        """
+        counter = self.metrics.counter(_METRIC_PREFIX + name + "_total", help_text)
+        self._counters[name] = counter
+        return counter
+
+    def add(self, name: str, amount: int = 1) -> int:
+        """Bump a counter; returns its new value."""
+        counter = self._counters.get(name)
+        if counter is None:
+            raise ParameterError("unknown counter %r" % name)
+        return counter.inc(amount)
+
+    def get(self, name: str) -> int:
+        """Read one counter."""
+        counter = self._counters.get(name)
+        if counter is None:
+            raise ParameterError("unknown counter %r" % name)
+        return counter.value
+
+    def snapshot(self) -> Dict[str, int]:
+        """A copy of all counters (one consistent read per counter)."""
+        return {name: counter.value for name, counter in self._counters.items()}
+
+    def summary(self) -> str:
+        """Human-readable multi-line summary (printed on shutdown)."""
+        snap = self.snapshot()
+        return (
+            "sessions: %d served, %d dropped (%d internal), %d shed, "
+            "%d rejected (%d validation)\n"
+            "bytes: %d in, %d out (%d connections)"
+            % (
+                snap["sessions_served"],
+                snap["sessions_dropped"],
+                snap["sessions_errored_internal"],
+                snap["sessions_shed"],
+                snap["sessions_rejected"],
+                snap["validation_rejections"],
+                snap["bytes_in"],
+                snap["bytes_out"],
+                snap["connections_accepted"],
+            )
+        )
 
 
 class SpfeServer:
@@ -98,9 +211,11 @@ class SpfeServer:
             connections; beyond it, connections are shed with BUSY.
         read_timeout: per-read deadline for each connection (None = no
             per-read deadline; strongly discouraged outside tests).
+            Must be positive when set.
         connection_deadline_s: optional total wall-clock budget per
             connection; a client that is merely *slow* is cut off once
-            its budget is spent, freeing the worker.
+            its budget is spent, freeing the worker.  Must be positive
+            when set.
         max_queries: query budget (0 = unlimited).  Admission is gated
             on it — once served + in-flight sessions reach the budget,
             further connections are shed with BUSY, so the server never
@@ -111,7 +226,8 @@ class SpfeServer:
             ``max_queries=1`` the server keeps accepting retries until
             one query actually succeeds (it does not exit after the
             first failed connection, as the pre-concurrency server did).
-        busy_retry_ms: retry-after hint carried in BUSY frames.
+        busy_retry_ms: retry-after hint carried in BUSY frames; must
+            fit the frame's u32 field.
         engine: optional :class:`~repro.crypto.engine.CryptoEngine`
             shared by every session for kernel-partitioned aggregation;
             the server owns it once passed and closes it as the final
@@ -158,6 +274,17 @@ class SpfeServer:
             raise ParameterError("max_queries must be non-negative")
         if stats_port is not None and stats_port < 0:
             raise ParameterError("stats_port must be non-negative")
+        # A non-positive deadline would not fail here but cut off every
+        # session (as an internal error, or at once); an out-of-range
+        # hint would raise inside the shed thread and kill it.
+        if read_timeout is not None and read_timeout <= 0:
+            raise ParameterError("read_timeout must be positive (or None)")
+        if connection_deadline_s is not None and connection_deadline_s <= 0:
+            raise ParameterError(
+                "connection_deadline_s must be positive (or None)"
+            )
+        if not 0 <= busy_retry_ms < 2**32:
+            raise ParameterError("busy_retry_ms must fit in an unsigned 32-bit field")
         self.database = database
         self.host = host
         self.policy = policy if policy is not None else ServerPolicy()
@@ -180,12 +307,21 @@ class SpfeServer:
         self.stats_port = stats_port
         self._stats_endpoint: Optional[StatsEndpoint] = None
         self._log = log
-        self._core = ServerAccounting(
-            self.stats,
-            metrics=self.metrics,
-            max_queries=max_queries,
-            backend="threads",
-            note=self._note,
+        self._budget_lock = threading.Lock()
+        #: admitted-but-unfinished sessions counted against max_queries
+        self._in_flight = 0
+        self._in_flight_gauge = self.metrics.gauge(
+            "repro_server_in_flight_sessions",
+            "Admitted sessions not yet retired (queued or being served).",
+        )
+        self._active_gauge = self.metrics.gauge(
+            "repro_server_active_connections",
+            "Connections currently attached to a worker.",
+        )
+        self._active_peak = 0
+        self._active_peak_gauge = self.metrics.gauge(
+            "repro_server_active_connections_peak",
+            "High-water mark of concurrently served connections.",
         )
         self._requested_port = port
         self._listener: Optional[socket.socket] = None
@@ -200,6 +336,7 @@ class SpfeServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._shed_thread: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
+        #: guards the attached transports and the concurrency peak
         self._active_lock = threading.Lock()
         self._active: Dict[int, SocketTransport] = {}
         self._drain = threading.Event()
@@ -314,6 +451,18 @@ class SpfeServer:
         return self._stats_endpoint.address
 
     @property
+    def in_flight(self) -> int:
+        """The current number of admitted-but-unretired sessions."""
+        with self._budget_lock:
+            return self._in_flight
+
+    @property
+    def peak_active(self) -> int:
+        """High-water mark of concurrently served connections."""
+        with self._active_lock:
+            return self._active_peak
+
+    @property
     def draining(self) -> bool:
         """True once drain has been initiated."""
         return self._drain.is_set()
@@ -382,7 +531,7 @@ class SpfeServer:
             status = "ok"
         return {
             "status": status,
-            "in_flight_sessions": self._core.in_flight(),
+            "in_flight_sessions": self.in_flight,
             "workers_alive": sum(
                 1 for worker in self._workers if worker.is_alive()
             ),
@@ -460,25 +609,47 @@ class SpfeServer:
     def _admit_query_budget(self) -> bool:
         """Reserve an in-flight slot; False when max_queries is spent.
 
-        Delegates to :meth:`ServerAccounting.admit_query_budget` — the
-        budget semantics are shared with the asyncio front-end.
+        The budget counts served plus in-flight sessions, so admission
+        stops as soon as enough work to satisfy the budget has *started*
+        — extra clients are shed with BUSY and can retry, and a slot is
+        released if its session drops or is rejected.  In-flight is
+        tracked (and exported as a gauge) even without a budget.
         """
-        return self._core.admit_query_budget()
+        with self._budget_lock:
+            if self.max_queries:
+                served = self.stats.get("sessions_served")
+                if served + self._in_flight >= self.max_queries:
+                    return False
+            self._in_flight += 1
+            self._in_flight_gauge.set(self._in_flight)
+            return True
 
     def _release_query_budget(self) -> None:
         """Release an admitted slot that never became a served session."""
-        self._core.release_query_budget()
+        with self._budget_lock:
+            self._in_flight -= 1
+            self._in_flight_gauge.set(self._in_flight)
 
     def _retire_session(self, served: bool) -> None:
         """Atomically retire one admitted session, served or not.
 
-        :meth:`ServerAccounting.retire_session` bumps ``sessions_served``
-        and releases the in-flight slot under one lock acquisition (the
-        budget-boundary atomicity regression lives there); when it
-        reports the ``max_queries`` budget met, this front-end begins
-        its drain.
+        The ``sessions_served`` bump and the in-flight release happen
+        under the same ``_budget_lock`` acquisition that
+        :meth:`_admit_query_budget` takes.  When they were two separate
+        steps, an admission check running between them saw the finishing
+        session counted in *both* ``served`` and in-flight and could
+        shed a connection the budget actually allowed (transient
+        double-count at the ``max_queries`` boundary).  Drain begins
+        once the budget is met.
         """
-        if self._core.retire_session(served):
+        budget_met = False
+        with self._budget_lock:
+            self._in_flight -= 1
+            self._in_flight_gauge.set(self._in_flight)
+            if served:
+                total = self.stats.add("sessions_served")
+                budget_met = bool(self.max_queries) and total >= self.max_queries
+        if budget_met:
             self.initiate_drain()
 
     def _accept_loop(self) -> None:
@@ -601,7 +772,7 @@ class SpfeServer:
             # one of served/dropped/rejected must be counted, even if
             # _serve_connection itself is broken (the catch-all below),
             # so the outcome invariant holds at drain.
-            self._core.session_admitted()
+            self.stats.add("sessions_admitted")
             served = False
             try:
                 served = self._serve_connection(connection, peer)
@@ -626,7 +797,7 @@ class SpfeServer:
         """Run one session on ``connection``; True when served to completion.
 
         All byte and outcome accounting lives in the ``finally`` block
-        and goes through :meth:`ServerAccounting.account_outcome`, which
+        and goes through :meth:`_account_outcome`, which
         classifies every exit path — served, rejected, dropped, internal
         error — exactly once.  In particular a session that *finished*
         but whose final RESULT send failed is a drop, not a serve: the
@@ -645,18 +816,18 @@ class SpfeServer:
         key = id(transport)
         with self._active_lock:
             self._active[key] = transport
-        self._core.connection_attached()
+            active = len(self._active)
+            self._active_gauge.set(active)
+            if active > self._active_peak:
+                self._active_peak = active
+                self._active_peak_gauge.set(active)
         started = time.monotonic()
         outcome = "detached"
         detail = ""
         served = False
         try:
             while True:
-                transport.set_read_timeout(
-                    self._core.budgeted_timeout(
-                        started, self.read_timeout, self.connection_deadline_s
-                    )
-                )
+                transport.set_read_timeout(self._budgeted_timeout(started))
                 data = transport.recv(DEFAULT_RECV_BYTES)
                 if not data:
                     break  # peer closed; a resumable client will reconnect
@@ -676,6 +847,80 @@ class SpfeServer:
             transport.close()
             with self._active_lock:
                 self._active.pop(key, None)
-            self._core.connection_detached()
-            served = self._core.account_outcome(session, outcome, peer, detail)
+                self._active_gauge.set(len(self._active))
+            served = self._account_outcome(session, outcome, peer, detail)
         return served
+
+    def _budgeted_timeout(self, started: float) -> Optional[float]:
+        """The next read's deadline under the connection budget.
+
+        Raises :class:`~repro.exceptions.TransportTimeout` once the
+        total wall-clock budget (when configured) is spent.
+        """
+        if self.connection_deadline_s is None:
+            return self.read_timeout
+        remaining = self.connection_deadline_s - (time.monotonic() - started)
+        if remaining <= 0:
+            raise TransportTimeout(
+                "connection exceeded its %.1fs budget" % self.connection_deadline_s
+            )
+        if self.read_timeout is None:
+            return remaining
+        return min(self.read_timeout, remaining)
+
+    def _account_outcome(
+        self, session: ServerSession, outcome: str, peer: Tuple, detail: str
+    ) -> bool:
+        """Account one finished connection; True when served to completion.
+
+        ``outcome`` is the transport-level verdict: ``"detached"`` (the
+        session loop exited on its own terms), ``"dropped"`` (a
+        transport error or deadline cut it off), or ``"internal"`` (a
+        server-side bug).  Combined with the session's own state this
+        yields exactly one of served / dropped / rejected —
+        classification order matters:
+
+        1. internal errors are drops the server owns;
+        2. an errored session was answered (or at least owed) a typed
+           ERROR — it is rejected even if that final send failed;
+        3. a transport-level drop is a drop *even when the session
+           finished*: a RESULT the peer never received was not served
+           (this branch used to be unreachable behind ``finished``, so
+           a failed RESULT send vanished from every outcome counter);
+        4. a finished session whose transport survived was served;
+        5. anything else is a peer that went away mid-run.
+        """
+        self.stats.add("bytes_in", session.bytes_received)
+        self.stats.add("bytes_out", session.bytes_sent)
+        if outcome == "internal":
+            self.stats.add("sessions_dropped")
+            self.stats.add("sessions_errored_internal")
+            self._note("dropped %s: internal error: %s" % (peer, detail))
+            return False
+        if session.errored:
+            self.stats.add("sessions_rejected")
+            if isinstance(session.last_error, ValidationError):
+                self.stats.add("validation_rejections")
+            self._note("rejected %s: %s" % (peer, session.last_error))
+            return False
+        if outcome == "dropped":
+            self.stats.add("sessions_dropped")
+            if session.finished:
+                self._note(
+                    "dropped %s: result computed but never delivered: %s"
+                    % (peer, detail)
+                )
+            else:
+                self._note("dropped %s: %s" % (peer, detail))
+            return False
+        if session.finished:
+            self._note(
+                "served %s: %d bytes in, %d out"
+                % (peer, session.bytes_received, session.bytes_sent)
+            )
+            return True
+        # Clean EOF before completion: the peer went away mid-run (it
+        # may resume on a later connection).
+        self.stats.add("sessions_dropped")
+        self._note("dropped %s: peer closed mid-session" % (peer,))
+        return False

@@ -561,20 +561,18 @@ class ServerSession:
     across connections; without one the server still speaks v1 and v2
     wire but answers every RESUME with "unknown, restart".
 
-    Event-loop safety (audited for the asyncio front-end): this class
-    performs **no I/O** — :meth:`receive_bytes` maps input bytes to
-    output bytes and touches only per-session state, so one session may
-    be driven from any single thread, including an executor thread owned
-    by :class:`~repro.net.aio.AsyncSpfeServer`.  The only shared objects
-    it reaches are the :class:`SessionRegistry` (every method takes the
-    registry lock; its optional :class:`~repro.store.state.StateStore`
-    serialises on its own connection lock), the metrics/tracer
-    instruments (each mutation under the instrument's lock), and the
+    One thread per session: this class performs **no I/O** —
+    :meth:`receive_bytes` maps input bytes to output bytes and touches
+    only per-session state, so :class:`~repro.net.server.SpfeServer`
+    drives each session from the one worker thread serving its
+    connection.  The only shared objects it reaches are the
+    :class:`SessionRegistry` (every method takes the registry lock; its
+    optional :class:`~repro.store.state.StateStore` serialises on its
+    own connection lock), the metrics/tracer instruments (each mutation
+    under the instrument's lock), and the
     :class:`~repro.crypto.engine.CryptoEngine`, whose submission path is
-    already shared by the threaded worker pool.  A *single* session
-    object must still not be fed from two threads at once — both
-    front-ends guarantee that by construction (one connection, one
-    worker thread or one handler task).
+    shared by the whole worker pool.  A *single* session object must
+    not be fed from two threads at once.
     """
 
     _WAIT_HELLO = "wait-hello"

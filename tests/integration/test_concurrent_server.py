@@ -1,11 +1,8 @@
 """Concurrent-server integration suite: the ISSUE acceptance scenarios.
 
-One server — each test runs against *both* connection front-ends, the
-threaded :class:`~repro.net.server.SpfeServer` and the event-loop
-:class:`~repro.net.aio.AsyncSpfeServer`, via the ``make_server``
-fixture — faces a fleet of threaded clients — honest, malicious, slow,
-and silent — over real kernel sockets.  The suite asserts the hardening
-properties end to end:
+One :class:`~repro.net.server.SpfeServer` faces a fleet of threaded
+clients — honest, malicious, slow, and silent — over real kernel
+sockets.  The suite asserts the hardening properties end to end:
 
 * a mixed fleet never corrupts an honest answer: every honest client
   decrypts the exact selected sum while malicious peers get typed
@@ -16,6 +13,8 @@ properties end to end:
 * with the pool saturated, surplus clients receive BUSY and retry to
   completion through :func:`run_resilient`;
 * SIGTERM during active sessions drains them to completion;
+* a 200-client fleet over eight slots never serves more than
+  ``max_sessions`` connections at once, and every sum is exact;
 * at drain, the outcome counters reconcile:
   ``served + dropped + rejected == admitted``.
 """
@@ -35,6 +34,7 @@ from repro.datastore.workload import WorkloadGenerator
 from repro.exceptions import ReproError, ValidationError
 from repro.net import codec
 from repro.net.codec import FrameDecoder, FrameType
+from repro.net.server import SpfeServer
 from repro.net.transport import RetryPolicy, SocketTransport
 from repro.spfe.session import ClientSession, run_over_transport, run_resilient
 from repro.spfe.validation import ServerPolicy
@@ -64,12 +64,13 @@ def workload():
     return database, selection, database.select_sum(selection), keypair
 
 
-def make_client(selection, seed):
+def make_client(selection, seed, keypair=None):
     return ClientSession(
         selection,
         key_bits=KEY_BITS,
         chunk_size=CHUNK,
         rng=DeterministicRandom("cs-client-%s" % seed),
+        keypair=keypair,
     )
 
 
@@ -111,7 +112,7 @@ def wait_for(predicate, timeout=JOIN_TIMEOUT):
 
 
 class TestMixedFleet:
-    def test_honest_malicious_and_silent_clients(self, workload, make_server):
+    def test_honest_malicious_and_silent_clients(self, workload):
         """Four honest, two malicious, one silent client, concurrently.
 
         Every honest client gets the exact sum; each malicious client is
@@ -119,7 +120,7 @@ class TestMixedFleet:
         dropped on deadline — and none of it disturbs the others.
         """
         database, selection, expected, keypair = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=4,
@@ -257,13 +258,11 @@ def corpus(workload):
 
 
 class TestMalformedFrameCorpus:
-    def test_every_reject_path_is_typed_and_survivable(
-        self, workload, make_server
-    ):
+    def test_every_reject_path_is_typed_and_survivable(self, workload):
         """Each corpus entry earns its typed ERROR; the server then
         serves an honest client as if nothing happened."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database, policy=POLICY, max_sessions=2, read_timeout=READ_TIMEOUT
         ).start()
         try:
@@ -299,7 +298,7 @@ class TestMalformedFrameCorpus:
         finally:
             server.stop(drain_deadline_s=10.0)
 
-    def test_session_byte_quota_is_enforced(self, workload, make_server):
+    def test_session_byte_quota_is_enforced(self, workload):
         """A peer streaming more bytes than the per-session quota gets a
         typed POLICY error even though every individual frame is valid."""
         database, _, __, keypair = workload
@@ -309,7 +308,7 @@ class TestMalformedFrameCorpus:
             max_frame_payload=192,
             max_session_bytes=192,
         )
-        server = make_server(
+        server = SpfeServer(
             database, policy=quota_policy, read_timeout=READ_TIMEOUT
         ).start()
         try:
@@ -350,12 +349,12 @@ class TestMalformedFrameCorpus:
 
 
 class TestBusyRetry:
-    def test_shed_client_retries_to_completion(self, workload, make_server):
+    def test_shed_client_retries_to_completion(self, workload):
         """Acceptance: with the pool saturated, the surplus client gets
         BUSY and, through run_resilient's retry loop, still finishes
         with the exact answer once capacity frees up."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=1,
@@ -417,14 +416,12 @@ class _SlowTransport:
 
 
 class TestSignalDrain:
-    def test_sigterm_drains_active_session_to_completion(
-        self, workload, make_server
-    ):
+    def test_sigterm_drains_active_session_to_completion(self, workload):
         """Acceptance: SIGTERM while a query is in flight stops the
         accept loop but lets the in-flight session finish; the client
         still gets the exact answer."""
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database, policy=POLICY, read_timeout=READ_TIMEOUT
         ).start()
         restore = server.install_signal_handlers()
@@ -471,22 +468,75 @@ class TestSignalDrain:
         assert issubclass(ValidationError, ReproError)
 
 
+# -- large fleet --------------------------------------------------------------
+
+
+class TestLargeFleet:
+    def test_two_hundred_clients_over_eight_slots(self, workload):
+        """Acceptance: a 200-client fleet completes against
+        ``max_sessions=8`` with every sum exact, and the concurrency
+        high-water mark proves the worker pool actually bounded serving."""
+        database, selection, expected, keypair = workload
+        server = SpfeServer(
+            database,
+            max_sessions=8,
+            accept_backlog=256,
+            read_timeout=15.0,
+        ).start()
+        port = server.port
+        results = {}
+        lock = threading.Lock()
+
+        def run_one(tag):
+            # the shared keypair keeps 200 clients cheap; each still
+            # encrypts its own selection vector
+            client = make_client(selection, "fleet-%d" % tag, keypair=keypair)
+            value = run_resilient(
+                client,
+                lambda: connect(port, read_timeout=15.0),
+                policy=RetryPolicy(max_attempts=10, base_delay_s=0.2),
+            )
+            with lock:
+                results[tag] = value
+
+        threads = [
+            threading.Thread(target=run_one, args=(tag,)) for tag in range(200)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive(), "fleet client hung"
+        finally:
+            server.stop(drain_deadline_s=15.0)
+        assert len(results) == 200
+        assert all(value == expected for value in results.values())
+        snap = server.stats.snapshot()
+        assert snap["sessions_served"] == 200
+        assert server.peak_active <= 8
+        assert (
+            snap["sessions_served"]
+            + snap["sessions_dropped"]
+            + snap["sessions_rejected"]
+            == snap["sessions_admitted"]
+        ), snap
+
+
 # -- outcome accounting -------------------------------------------------------
 
 
 class TestOutcomeInvariant:
-    def test_served_dropped_rejected_reconcile_with_admitted(
-        self, workload, make_server
-    ):
+    def test_served_dropped_rejected_reconcile_with_admitted(self, workload):
         """At drain, every admitted session is in exactly one outcome
         bucket: ``served + dropped + rejected == admitted``, in-flight
         zero.  Drives all three outcome classes concurrently — honest
-        (served), malicious (rejected), silent (dropped on deadline) —
-        on both backends; a session that slips between counters (the
-        vanished-outcome family of bugs) breaks the equality.
+        (served), malicious (rejected), silent (dropped on deadline); a
+        session that slips between counters (the vanished-outcome family
+        of bugs) breaks the equality.
         """
         database, selection, expected, _ = workload
-        server = make_server(
+        server = SpfeServer(
             database,
             policy=POLICY,
             max_sessions=3,
@@ -541,4 +591,4 @@ class TestOutcomeInvariant:
             + snap["sessions_rejected"]
             == snap["sessions_admitted"]
         ), snap
-        assert server._core.in_flight() == 0
+        assert server.in_flight == 0

@@ -5,7 +5,7 @@ saturated, so re-entering on the crash-retry schedule just re-joins the
 stampede.  `RetryPolicy.busy_delay_s` backs off from a larger base and
 never sleeps less than the server's ``retry_after_ms`` hint; the
 regression half of this module drives a real ``max_queries``-saturated
-server (both front-ends, via ``make_server``) and asserts the shed
+server and asserts the shed
 client re-enters on that schedule and still completes.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 from repro.crypto.rng import DeterministicRandom
 from repro.datastore.workload import WorkloadGenerator
+from repro.net.server import SpfeServer
 from repro.net.transport import RetryPolicy, SocketTransport
 from repro.spfe.session import ClientSession, run_resilient
 from repro.obs.registry import MetricsRegistry
@@ -80,15 +81,13 @@ class TestBusySchedule:
 
 
 class TestBusyRegression:
-    def test_shed_client_retries_on_busy_schedule_and_completes(
-        self, workload, make_server
-    ):
+    def test_shed_client_retries_on_busy_schedule_and_completes(self, workload):
         """One budget slot, held by a stalled connection: the second
         client is shed with BUSY, sleeps the busy schedule (floored at
         the server's hint), and wins the freed slot on retry."""
         database, selection = workload
         metrics = MetricsRegistry()
-        server = make_server(
+        server = SpfeServer(
             database,
             max_sessions=2,
             max_queries=1,

@@ -78,6 +78,21 @@ class TestLifecycle:
             SpfeServer(database, accept_backlog=0)
         with pytest.raises(ParameterError):
             SpfeServer(database, max_queries=-1)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, read_timeout=-1.0)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, read_timeout=0.0)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, connection_deadline_s=-1.0)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, connection_deadline_s=0.0)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, busy_retry_ms=-1)
+        with pytest.raises(ParameterError):
+            SpfeServer(database, busy_retry_ms=2**32)
+        # the boundaries themselves are accepted
+        SpfeServer(database, read_timeout=None, busy_retry_ms=0)
+        SpfeServer(database, connection_deadline_s=None, busy_retry_ms=2**32 - 1)
 
     def test_port_requires_start(self, workload):
         database, _ = workload

@@ -220,6 +220,13 @@ class TestServeQuery:
         expected = values[0] + values[10] + values[20]
         assert "private sum of 3 elements: %d" % expected in output
         assert "served" in server_out.getvalue()
+        # The banner prefix an external harness parses for the bound
+        # address (one line, host and port, followed by a space).
+        banner = re.search(
+            r"^serving \d+ rows on ([^:\s]+):(\d+) ", server_out.getvalue(), re.M
+        )
+        assert banner is not None, server_out.getvalue()
+        assert banner.groups() == ("127.0.0.1", str(port))
 
         import json
 
@@ -289,6 +296,18 @@ class TestServeQuery:
         out_text = server_out.getvalue()
         assert "served" in out_text
         assert "1 served" in out_text and "1 dropped" in out_text
+
+    @pytest.mark.parametrize("flag", ["--timeout", "--session-timeout"])
+    def test_serve_rejects_negative_deadline(self, flag):
+        """A negative deadline is a usage error at startup, not a server
+        that comes up and then drops every session."""
+        code, output = run_cli(
+            "serve", "--random", "10", "--port", "0", "--queries", "1",
+            flag, "-1",
+        )
+        assert code == 2
+        assert "error:" in output
+        assert "serving" not in output
 
     def test_query_retries_are_bounded_and_typed(self):
         """With nothing listening, query fails fast with exit code 2
