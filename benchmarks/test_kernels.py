@@ -1,33 +1,25 @@
-"""Kernel benchmark suite v2: the calibrated engine against every mode.
+"""Kernel benchmark suite v3: the engine's fixed rule, measured.
 
 Measures the crypto kernels over a (key_bits, n) grid and writes the
 numbers to ``BENCH_kernels.json`` at the repo root:
 
 * the server aggregate ``prod_i c_i^{w_i} mod n^2`` — the naive
-  per-element ``pow()`` fold, the in-process multiexp bucket kernel,
-  the Montgomery variant, a *forced* 2-worker pool fan-out, and the
-  shipped configuration: a :class:`~repro.crypto.engine.CryptoEngine`
-  routing through a measured :class:`~repro.crypto.calibration.
-  CalibrationProfile` (``parallel_s`` below);
-* vector encryption — the serial chunk kernel, a forced pool fan-out,
-  and the calibrated engine;
+  per-element ``pow()`` fold against the in-process multiexp bucket
+  kernel that :meth:`~repro.crypto.engine.CryptoEngine.weighted_product`
+  always runs;
+* vector encryption — a 1-worker engine (serial chunk kernel) against a
+  2-worker engine, which fans the same chunks out over its warm pool;
 * the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` vs the
   fixed-base windowed table.
-
-``parallel_s`` is the number the acceptance gate cares about: it is
-what a caller asking the engine for parallelism actually gets, and
-because the profile routes every batch to the measured-fastest mode it
-must not lose to the in-process multiexp kernel at any grid point —
-v1's parallel path did exactly that, paying pool overhead even where a
-single core was faster.  The forced-pool row is recorded alongside for
-honesty: on a single-core runner it shows the overhead the router is
-avoiding.
 
 The full run uses the paper's 512-bit keys (plus 256-bit) with n in
 {200, 1000}.  Set ``REPRO_KERNEL_SMOKE=1`` for the CI smoke variant:
 256-bit keys, n=200, and a 1.0x multiexp floor instead of 2.0x.
-Speedup assertions run *after* the JSON is written so a regression
-still leaves the numbers on disk to inspect.
+``params.cpus`` records the CPUs this process may run on; the 2-worker
+encryption gate (>= 1.3x over serial at 512-bit, n=1000) applies only
+to a full run with at least two of them.  Speedup assertions run
+*after* the JSON is written so a regression still leaves the numbers
+on disk to inspect.
 """
 
 import json
@@ -36,7 +28,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.crypto.calibration import CalibrationProfile
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.multiexp import FixedBaseTable
 from repro.crypto.paillier import generate_keypair
@@ -46,21 +37,15 @@ SMOKE = os.environ.get("REPRO_KERNEL_SMOKE", "") not in ("", "0")
 GRID = [(256, 200)] if SMOKE else [(256, 200), (256, 1000), (512, 200), (512, 1000)]
 WEIGHT_BITS = 32
 ROUNDS = 3  # best-of-3: minimum over rounds rejects scheduler noise
-RETRIES = 6  # extra best-of rounds if routing noise shows up
 MIN_SPEEDUP = 1.0 if SMOKE else 2.0
 WORKERS = 2
+CPUS = len(os.sched_getaffinity(0))
+#: The encryption fan-out gate: the grid point it applies to, and the
+#: floor on serial / 2-worker wall time there.
+POOL_GATE_POINT = (512, 1000)
+MIN_POOL_SPEEDUP = 1.3
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-
-
-class _Force:
-    """A calibration stand-in that pins the engine to one mode."""
-
-    def __init__(self, mode):
-        self.mode = mode
-
-    def best_mode(self, kind, key_bits, size):
-        return self.mode
 
 
 def best_of(fn, rounds=ROUNDS):
@@ -106,148 +91,46 @@ def naive_weighted_product(ciphertexts, weights, modulus, n):
     return acc
 
 
-def bench_weighted(public, ciphertexts, weights, key_bits):
-    """Every weighted-aggregation mode at one grid point."""
+def bench_weighted(public, ciphertexts, weights):
+    """Naive fold vs the engine's in-process multiexp fold at one point."""
     n, nsquare = public.n, public.nsquare
-    size = len(ciphertexts)
-    naive_s, expected = best_of(
-        lambda: naive_weighted_product(ciphertexts, weights, nsquare, n)
-    )
-
-    def timed(engine):
-        seconds, result = best_of(
-            lambda: engine.weighted_product(nsquare, n, ciphertexts, weights)
-        )
-        assert result == expected
-        return seconds
-
     with CryptoEngine(workers=1) as engine:
-        multiexp_probe_s = timed(engine)
-    with CryptoEngine(workers=1, calibration=_Force("multiexp_mont")) as engine:
-        mont_s = timed(engine)
-    with CryptoEngine(
-        workers=WORKERS,
-        chunk_size=max(1, -(-size // (2 * WORKERS))),
-        calibration=_Force("parallel"),
-    ) as engine:
-        forced_parallel_s = timed(engine)
-        forced_used_pool = engine.parallel_batches > 0
-
-    # The shipped path: a profile built from the timings above routes
-    # the engine to the measured-fastest mode, exactly as `repro
-    # calibrate` + `repro serve` do.
-    profile = CalibrationProfile()
-    profile.record(
-        "weighted",
-        key_bits,
-        size,
-        {
-            "serial": naive_s,
-            "multiexp": multiexp_probe_s,
-            "multiexp_mont": mont_s,
-            "parallel": forced_parallel_s,
-        },
-    )
-    chosen = profile.best_mode("weighted", key_bits, size)
-    # The gated numbers (multiexp_s vs parallel_s) come *only* from
-    # interleaved rounds: a lucky minimum from an earlier standalone
-    # window would make the routed path look like it lost when really
-    # the machine was just quieter back then.  Retries re-run the whole
-    # interleaved pair so both sides always get the same extra samples.
-    with CryptoEngine(workers=1) as baseline, CryptoEngine(
-        workers=WORKERS, calibration=profile
-    ) as engine:
-
-        def paired():
-            (a, result_a), (b, result_b) = best_of_interleaved(
-                lambda: baseline.weighted_product(
-                    nsquare, n, ciphertexts, weights
-                ),
-                lambda: engine.weighted_product(
-                    nsquare, n, ciphertexts, weights
-                ),
-            )
-            assert result_a == expected and result_b == expected
-            return a, b
-
-        multiexp_s, parallel_s = paired()
-        for _ in range(RETRIES):
-            if parallel_s <= multiexp_s:
-                break
-            a, b = paired()
-            multiexp_s = min(multiexp_s, a)
-            parallel_s = min(parallel_s, b)
-
+        (naive_s, expected), (multiexp_s, result) = best_of_interleaved(
+            lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
+            lambda: engine.weighted_product(nsquare, n, ciphertexts, weights),
+        )
+    assert result == expected
     return {
         "naive_s": naive_s,
         "multiexp_s": multiexp_s,
-        "multiexp_mont_s": mont_s,
-        "forced_parallel_workers2_s": forced_parallel_s,
-        "forced_parallel_used_pool": forced_used_pool,
-        "parallel_s": parallel_s,
-        "parallel_mode": chosen,
         "speedup_multiexp_vs_naive": naive_s / multiexp_s,
-        "speedup_parallel_vs_naive": naive_s / parallel_s,
     }
 
 
 def bench_encrypt(public, size, key_bits):
-    """Every vector-encryption mode at one grid point."""
+    """Serial vs 2-worker vector encryption at one grid point."""
     plaintexts = list(range(size))
     seed = "kernel-bench-encrypt-%d-%d" % (key_bits, size)
-    # One explicit chunk size for every engine: the ciphertexts are a
-    # pure function of (seed, chunk schedule), so byte-equality across
-    # modes requires the schedule to match.
+    # One explicit chunk size for both engines: the ciphertexts are a
+    # pure function of (seed, chunk schedule), so byte-equality between
+    # them requires the schedule to match.  Two chunks per worker.
     chunk = max(1, -(-size // (2 * WORKERS)))
-
-    def timed(engine):
-        return best_of(lambda: engine.encrypt_vector(public, plaintexts, seed))
-
-    with CryptoEngine(workers=1, chunk_size=chunk) as engine:
-        serial_probe_s, expected = timed(engine)
-    with CryptoEngine(
-        workers=WORKERS,
-        chunk_size=chunk,
-        calibration=_Force("parallel"),
-    ) as engine:
-        forced_parallel_s, forced_result = timed(engine)
-    assert forced_result == expected  # determinism across modes
-
-    profile = CalibrationProfile()
-    profile.record(
-        "encrypt",
-        key_bits,
-        size,
-        {"serial": serial_probe_s, "parallel": forced_parallel_s},
-    )
-    chosen = profile.best_mode("encrypt", key_bits, size)
-    # As in bench_weighted: the gated serial-vs-routed numbers come only
-    # from interleaved rounds, and retries re-sample both sides.
-    with CryptoEngine(workers=1, chunk_size=chunk) as baseline, CryptoEngine(
-        workers=WORKERS, chunk_size=chunk, calibration=profile
-    ) as engine:
-
-        def paired():
-            (a, serial_result), (b, routed_result) = best_of_interleaved(
-                lambda: baseline.encrypt_vector(public, plaintexts, seed),
-                lambda: engine.encrypt_vector(public, plaintexts, seed),
-            )
-            assert serial_result == expected and routed_result == expected
-            return a, b
-
-        serial_s, parallel_s = paired()
-        for _ in range(RETRIES):
-            if parallel_s <= serial_s:
-                break
-            a, b = paired()
-            serial_s = min(serial_s, a)
-            parallel_s = min(parallel_s, b)
-
+    with CryptoEngine(workers=1, chunk_size=chunk) as serial, CryptoEngine(
+        workers=WORKERS, chunk_size=chunk
+    ) as pooled:
+        # The first pooled round also spawns the workers; best-of
+        # keeps a warm round.
+        (serial_s, expected), (parallel_s, result) = best_of_interleaved(
+            lambda: serial.encrypt_vector(public, plaintexts, seed),
+            lambda: pooled.encrypt_vector(public, plaintexts, seed),
+        )
+        used_pool = pooled.parallel_batches > 0
+    assert result == expected  # byte-identical across worker counts
     return {
         "serial_s": serial_s,
-        "forced_parallel_workers2_s": forced_parallel_s,
-        "parallel_s": parallel_s,
-        "parallel_mode": chosen,
+        "parallel_workers2_s": parallel_s,
+        "parallel_used_pool": used_pool,
+        "speedup_parallel_vs_serial": serial_s / parallel_s,
     }
 
 
@@ -273,18 +156,17 @@ def test_kernel_benchmarks():
         point = {
             "key_bits": key_bits,
             "n": size,
-            "weighted": bench_weighted(public, ciphertexts, weights, key_bits),
+            "weighted": bench_weighted(public, ciphertexts, weights),
             "encrypt": bench_encrypt(public, size, key_bits),
         }
         grid_reports.append(point)
-        wp = point["weighted"]
+        wp, enc = point["weighted"], point["encrypt"]
         print(
             "\nkernel bench (%d-bit, n=%d): naive=%.3fs multiexp=%.3fs (%.2fx) "
-            "mont=%.3fs forced-pool=%.3fs routed=%.3fs via %s"
+            "encrypt serial=%.3fs 2-worker=%.3fs (%.2fx)"
             % (key_bits, size, wp["naive_s"], wp["multiexp_s"],
-               wp["speedup_multiexp_vs_naive"], wp["multiexp_mont_s"],
-               wp["forced_parallel_workers2_s"], wp["parallel_s"],
-               wp["parallel_mode"])
+               wp["speedup_multiexp_vs_naive"], enc["serial_s"],
+               enc["parallel_workers2_s"], enc["speedup_parallel_vs_serial"])
         )
 
         if fb_report is None:
@@ -321,13 +203,14 @@ def test_kernel_benchmarks():
 
     report = {
         "suite": "benchmarks/test_kernels.py",
-        "version": 2,
+        "version": 3,
         "smoke": SMOKE,
         "params": {
             "grid": [list(point) for point in GRID],
             "weight_bits": WEIGHT_BITS,
             "rounds": ROUNDS,
             "workers": WORKERS,
+            "cpus": CPUS,
         },
         "grid": grid_reports,
         "fixed_base_obfuscator": fb_report,
@@ -341,20 +224,17 @@ def test_kernel_benchmarks():
             "multiexp kernel regressed at %s: %.2fx vs required %.1fx (see %s)"
             % (label, wp["speedup_multiexp_vs_naive"], MIN_SPEEDUP, RESULT_PATH)
         )
-        # The tentpole guarantee: asking the engine for parallelism never
-        # loses to single-core multiexp, because the calibrated router
-        # only uses the pool where it measured faster.
-        assert wp["parallel_s"] <= wp["multiexp_s"], (
-            "calibrated engine lost to multiexp at %s: %.4fs vs %.4fs"
-            % (label, wp["parallel_s"], wp["multiexp_s"])
+        assert enc["parallel_used_pool"], (
+            "2-worker engine encrypted %s without its pool" % label
         )
-        # Encrypt routes serial-vs-parallel only; the routed path is the
-        # serial kernel itself when serial wins, so anything beyond a
-        # few percent is a real regression, not noise.
-        assert enc["parallel_s"] <= enc["serial_s"] * 1.05, (
-            "calibrated engine lost to serial encryption at %s: %.4fs vs %.4fs"
-            % (label, enc["parallel_s"], enc["serial_s"])
-        )
+        gated = (point["key_bits"], point["n"]) == POOL_GATE_POINT
+        if gated and not SMOKE and CPUS >= WORKERS:
+            assert enc["speedup_parallel_vs_serial"] >= MIN_POOL_SPEEDUP, (
+                "2-worker encryption at %s is only %.2fx serial on %d CPUs "
+                "(required %.1fx; see %s)"
+                % (label, enc["speedup_parallel_vs_serial"], CPUS,
+                   MIN_POOL_SPEEDUP, RESULT_PATH)
+            )
     assert fb_report["speedup_table_vs_pow"] >= MIN_SPEEDUP, (
         "fixed-base table regressed: %.2fx vs required %.1fx"
         % (fb_report["speedup_table_vs_pow"], MIN_SPEEDUP)

@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--seed", default="cli")
     sum_cmd.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the crypto kernels under --real "
-        "(1 = in-process serial)",
+        help="worker processes for client encryption under --real "
+        "(1 = in-process serial; the server fold is always in-process)",
     )
     sum_cmd.add_argument(
         "--no-multiexp", action="store_true",
@@ -89,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json", metavar="PATH", default=None,
         help="write the run's metrics registry (phase breakdown, engine "
         "batches) to PATH as structured JSON",
-    )
-    sum_cmd.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="state-store directory; a calibration profile persisted by "
-        "'repro calibrate' routes the crypto engine to the measured-"
-        "fastest kernel mode",
     )
 
     est_cmd = commands.add_parser("estimate", help="predict a query's cost")
@@ -177,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="smallest client Paillier modulus accepted (policy knob)",
     )
     serve_cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the aggregation kernels "
-        "(1 = in-process serial)",
-    )
-    serve_cmd.add_argument(
         "--no-multiexp", action="store_true",
         help="fold chunks with naive per-ciphertext pow instead of the "
         "simultaneous-multiexp kernel",
@@ -225,35 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve_args", nargs=argparse.REMAINDER,
         help="arguments passed through to `repro serve` "
         "(prefix with -- to separate)",
-    )
-
-    cal_cmd = commands.add_parser(
-        "calibrate",
-        help="measure the engine's serial/multiexp/parallel crossover "
-        "and persist the mode profile",
-    )
-    cal_cmd.add_argument(
-        "--key-bits", default="256,512", metavar="BITS[,BITS...]",
-        help="comma-separated key sizes to measure (default 256,512)",
-    )
-    cal_cmd.add_argument(
-        "--sizes", default="200,1000", metavar="N[,N...]",
-        help="comma-separated batch sizes to measure (default 200,1000)",
-    )
-    cal_cmd.add_argument(
-        "--rounds", type=int, default=3,
-        help="best-of rounds per measured point (default 3)",
-    )
-    cal_cmd.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for the parallel candidates (default 2; "
-        "1 skips parallel measurement)",
-    )
-    cal_cmd.add_argument("--seed", default="calibration")
-    cal_cmd.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="persist the profile into this state store so serve/sum "
-        "route through it automatically",
     )
 
     store_cmd = commands.add_parser(
@@ -410,6 +370,8 @@ def _record_breakdown(registry, breakdown) -> None:
 
 
 def cmd_sum(args, out) -> int:
+    if args.workers < 1:
+        raise ReproError("--workers must be positive")
     database = _load_database(args)
     indices = [int(token) for token in args.select.split(",") if token.strip()]
     selection = indices_to_bits(len(database), indices)
@@ -426,21 +388,12 @@ def cmd_sum(args, out) -> int:
     if args.real:
         from repro.crypto.paillier import PaillierScheme
 
-        calibration = _load_calibration_profile(
-            getattr(args, "state_dir", None), registry
-        )
-        if calibration is not None:
-            out.write(
-                "calibration profile loaded (%d measured points)\n"
-                % len(calibration)
-            )
-        if args.workers > 1 or calibration is not None:
+        if args.workers > 1:
             from repro.crypto.engine import CryptoEngine
 
             engine = CryptoEngine(
                 workers=args.workers,
                 use_multiexp=not args.no_multiexp,
-                calibration=calibration,
                 metrics=registry,
             )
         scheme = PaillierScheme(engine=engine, use_multiexp=not args.no_multiexp)
@@ -586,25 +539,10 @@ def cmd_serve(args, out) -> int:
                 store.save_database(args.db_name, database)
                 out.write("database saved to store as %r\n" % args.db_name)
         engine = None
-        calibration = None
-        if store is not None:
-            from repro.crypto.calibration import load_profile
-
-            calibration = load_profile(store)
-            if calibration is not None:
-                out.write(
-                    "calibration profile loaded (%d measured points)\n"
-                    % len(calibration)
-                )
-        if args.workers > 1 or args.no_multiexp or calibration is not None:
+        if args.no_multiexp:
             from repro.crypto.engine import CryptoEngine
 
-            engine = CryptoEngine(
-                workers=max(1, args.workers),
-                use_multiexp=not args.no_multiexp,
-                calibration=calibration,
-                metrics=registry,
-            )
+            engine = CryptoEngine(use_multiexp=False, metrics=registry)
         server = SpfeServer(
             database,
             host=args.host,
@@ -694,64 +632,6 @@ def cmd_supervise(args, out) -> int:
            ", gave up (restart budget exhausted)" if supervisor.gave_up else "")
     )
     return 1 if supervisor.gave_up else 0
-
-
-def _load_calibration_profile(state_dir, registry=None):
-    """The persisted calibration profile from ``state_dir``, or None."""
-    if not state_dir:
-        return None
-    from repro.crypto.calibration import load_profile
-    from repro.store import StateStore
-
-    store = StateStore.open(state_dir, metrics=registry)
-    try:
-        return load_profile(store)
-    finally:
-        store.close()
-
-
-def cmd_calibrate(args, out) -> int:
-    from repro.crypto.calibration import (
-        render_mode_table,
-        run_calibration,
-        save_profile,
-    )
-
-    try:
-        key_bits = [int(t) for t in args.key_bits.split(",") if t.strip()]
-        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ReproError("bad --key-bits/--sizes value: %s" % exc) from exc
-    if not key_bits or not sizes:
-        raise ReproError("--key-bits and --sizes must name at least one value")
-    out.write(
-        "calibrating engine modes (%d points x %d rounds, %d workers)...\n"
-        % (len(key_bits) * len(sizes), args.rounds, args.workers)
-    )
-    profile = run_calibration(
-        key_bits_list=key_bits,
-        sizes=sizes,
-        workers=args.workers,
-        rounds=args.rounds,
-        seed_label=args.seed,
-        progress=lambda line: out.write("  %s\n" % line),
-    )
-    out.write(render_mode_table(profile) + "\n")
-    if args.state_dir:
-        from repro.store import StateStore
-
-        store = StateStore.open(args.state_dir)
-        try:
-            save_profile(store, profile)
-        finally:
-            store.close()
-        out.write("profile persisted to %s\n" % args.state_dir)
-    else:
-        out.write(
-            "profile not persisted (pass --state-dir to let serve/sum "
-            "route through it)\n"
-        )
-    return 0
 
 
 def cmd_store(args, out) -> int:
@@ -898,7 +778,6 @@ _COMMANDS = {
     "keygen": cmd_keygen,
     "plan": cmd_plan,
     "serve": cmd_serve,
-    "calibrate": cmd_calibrate,
     "supervise": cmd_supervise,
     "store": cmd_store,
     "query": cmd_query,

@@ -11,8 +11,8 @@ The package is self-contained — pure Python on built-in big integers, no
 * :mod:`repro.crypto.simulated` — the cost-modelled Paillier stand-in.
 * :mod:`repro.crypto.multiexp` — batch exponentiation kernels
   (simultaneous multiexp, fixed-base windowed tables).
-* :mod:`repro.crypto.engine` — multi-process execution engine fanning
-  the kernels out over cores.
+* :mod:`repro.crypto.engine` — execution engine fanning vector
+  encryption out over cores.
 """
 
 from repro.crypto.damgard_jurik import DamgardJurikScheme, generate_dj_keypair

@@ -181,8 +181,8 @@ class DamgardJurikScheme(AdditiveHomomorphicScheme):
     The server aggregate uses the same simultaneous-multiexp kernel as
     Paillier — the homomorphic identities are identical with
     ``(n^{s+1}, n^s)`` in place of ``(n^2, n)`` — and an optional
-    :class:`~repro.crypto.engine.CryptoEngine` partitions it across
-    processes (engine *encryption* stays Paillier-only; the fixed-base
+    :class:`~repro.crypto.engine.CryptoEngine` can fold it instead
+    (engine *encryption* stays Paillier-only; the fixed-base
     obfuscator trick needs the ``g = n + 1`` shortcut).
     """
 

@@ -1,16 +1,18 @@
 """Multi-core execution engine for the crypto kernels (v2: warm workers).
 
-CPython's big-int ``pow`` holds the GIL, so threads cannot speed up the
-two hot paths (client vector encryption, server aggregation) — real
-parallelism needs processes.  :class:`CryptoEngine` partitions both
-paths into chunks and fans the chunks out over a persistent
-:class:`WarmWorkerPool`:
+CPython's big-int ``pow`` holds the GIL, so threads cannot speed up
+client vector encryption — real parallelism needs processes.
+:class:`CryptoEngine` serves the two hot paths by one fixed rule:
 
-* ``encrypt_vector`` — each chunk is encrypted by a worker process
+* ``encrypt_vector`` — the vector is partitioned into chunks, and when
+  the engine has ``workers > 1`` and there is more than one chunk, each
+  chunk is encrypted by a persistent :class:`WarmWorkerPool` worker
   running the same deterministic kernel as the serial path.
-* ``weighted_product`` — each chunk runs the
-  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel; the
-  parent multiplies the partial products together.
+* ``weighted_product`` — always folds in-process with the
+  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel (or the
+  naive per-element ``pow`` loop when ``use_multiexp=False``).  Shipping
+  fold chunks to a pool measured no faster at any size the deployed
+  server sees (see ``docs/performance.md`` § Engine routing).
 
 **What changed from v1.**  The first engine lost to single-core
 multiexp because every dispatched chunk paid twice: pickling a list of
@@ -19,30 +21,21 @@ inside every chunk.  v2 removes both costs:
 
 * Workers are spawned once per engine and *primed* — the
   ``ProcessPoolExecutor`` initializer builds the per-key context
-  (public key, fixed-base table, Montgomery constants) before any work
-  arrives, and a per-process :class:`KeyContextCache` keeps it warm
-  across every subsequent chunk.  The in-process path shares the same
-  cache, so serial callers stop rebuilding tables per chunk too.
+  (public key, fixed-base table) before any work arrives, and a
+  per-process :class:`KeyContextCache` keeps it warm across every
+  subsequent chunk.  The in-process path shares the same cache, so
+  serial callers stop rebuilding tables per chunk too.
 * Work ships as one packed big-endian byte buffer per chunk
   (:func:`~repro.crypto.serialization.pack_int_vector`): pickling a
   ``bytes`` object is a near-memcpy, where a list of 1024-bit ints
   costs a per-element encode on every dispatch.
-* Mode selection is *measured*, not assumed: an optional
-  :class:`~repro.crypto.calibration.CalibrationProfile` (built by
-  ``repro calibrate``, cached via :mod:`repro.store`) records the
-  serial/multiexp/parallel crossover per (key_bits, n) and the engine
-  routes each call to the measured-fastest path.  Without a profile
-  the v1 heuristic applies (pool whenever it exists and there is more
-  than one chunk).
 
 **Determinism.**  Chunking depends only on the input length and the
-chunk size — never on the worker count or selected mode — and every
-chunk derives an independent HMAC-DRBG seed from the caller's
-randomness source *before* any work is dispatched.  A seeded run
-therefore produces identical ciphertexts whether it executes serially,
-on 2 workers, or on 32, which the engine tests assert byte for byte.
-Mode selection only ever changes *where* a chunk runs (or which
-bit-identical kernel folds it), so calibration cannot perturb outputs.
+chunk size — never on the worker count — and every chunk derives an
+independent HMAC-DRBG seed from the caller's randomness source
+*before* any work is dispatched.  A seeded run therefore produces
+identical ciphertexts whether it executes serially, on 2 workers, or
+on 32, which the engine tests assert byte for byte.
 
 **Fallback.**  ``workers <= 1``, a pool that cannot start (restricted
 containers), or a pool that breaks mid-run all degrade to running the
@@ -82,7 +75,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.montgomery import MontgomeryContext
 from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.crypto.serialization import pack_int_vector, unpack_int_vector
@@ -143,12 +135,7 @@ _FRAME_LEN = struct.Struct(">I")
 
 #: Key-blob kind tags (first byte of a key blob / task).
 _KIND_ENCRYPT = b"\x01"
-_KIND_WEIGHTED = b"\x02"
 _KIND_KEY_OWNER = b"\x03"
-
-#: Weighted-kernel flag bits (packed into the key blob).
-_FLAG_MULTIEXP = 1
-_FLAG_MONTGOMERY = 2
 
 
 def _pack_frames(*frames: bytes) -> bytes:
@@ -183,21 +170,6 @@ def _encrypt_key_blob(
     )
 
 
-def _weighted_key_blob(
-    ct_modulus: int,
-    exp_modulus: int,
-    window: Optional[int],
-    use_multiexp: bool,
-    montgomery: bool,
-) -> bytes:
-    flags = (_FLAG_MULTIEXP if use_multiexp else 0) | (
-        _FLAG_MONTGOMERY if montgomery else 0
-    )
-    return _KIND_WEIGHTED + pack_int_vector(
-        [ct_modulus, exp_modulus, window or 0, flags]
-    )
-
-
 def _key_owner_key_blob(p: int, q: int) -> bytes:
     return _KIND_KEY_OWNER + pack_int_vector([p, q])
 
@@ -224,22 +196,6 @@ class _EncryptContext:
             )
 
 
-class _WeightedContext:
-    """Derived per-key aggregation state a worker keeps warm."""
-
-    __slots__ = ("ct_modulus", "exp_modulus", "window", "use_multiexp", "montgomery")
-
-    def __init__(self, blob: bytes) -> None:
-        ct_modulus, exp_modulus, window, flags = unpack_int_vector(blob)
-        self.ct_modulus = ct_modulus
-        self.exp_modulus = exp_modulus
-        self.window = window or None
-        self.use_multiexp = bool(flags & _FLAG_MULTIEXP)
-        self.montgomery: Optional[MontgomeryContext] = None
-        if flags & _FLAG_MONTGOMERY and ct_modulus % 2 == 1:
-            self.montgomery = MontgomeryContext(ct_modulus)
-
-
 class _KeyOwnerContext:
     """The client's private key, rebuilt once per sampling worker."""
 
@@ -256,8 +212,6 @@ def _context_from_blob(key_blob: bytes) -> Any:
     kind, body = key_blob[:1], key_blob[1:]
     if kind == _KIND_ENCRYPT:
         return _EncryptContext(body)
-    if kind == _KIND_WEIGHTED:
-        return _WeightedContext(body)
     if kind == _KIND_KEY_OWNER:
         return _KeyOwnerContext(body)
     raise ParameterError("unknown key-blob kind %r" % kind)
@@ -268,7 +222,7 @@ class KeyContextCache:
 
     One instance lives at module level in every process (parent and
     workers alike): the first chunk for a key pays the context build
-    (fixed-base table, Montgomery constants), every later chunk — and
+    (fixed-base table, private key), every later chunk — and
     with pool priming, the first one too — finds it warm.  Bounded so a
     long-lived server churning through keys cannot grow it without
     limit.  Thread-safe: the parent process shares it across server
@@ -345,36 +299,6 @@ def _encrypt_chunk_packed(task: bytes) -> bytes:
             x = rng.randrange(1, table.capacity)
             out.append(public.raw_encrypt(m % public.n, table.pow(x)))
     return pack_int_vector(out)
-
-
-def _weighted_chunk_packed(task: bytes) -> bytes:
-    """Fold one packed chunk of the aggregate; returns the packed partial."""
-    key_blob, ct_blob, weight_blob = _unpack_frames(task)
-    context = _WORKER_CACHE.get(key_blob)
-    ciphertexts = unpack_int_vector(ct_blob)
-    exp_modulus = context.exp_modulus
-    ct_modulus = context.ct_modulus
-    exponents = [w % exp_modulus for w in unpack_int_vector(weight_blob)]
-    if context.use_multiexp:
-        partial = multi_exponent(
-            ciphertexts,
-            exponents,
-            ct_modulus,
-            window=context.window,
-            montgomery=context.montgomery or False,
-        )
-    else:
-        partial = 1
-        for ciphertext, exponent in zip(ciphertexts, exponents):
-            if exponent == 0:
-                continue
-            term = (
-                ciphertext
-                if exponent == 1
-                else pow(ciphertext, exponent, ct_modulus)
-            )
-            partial = partial * term % ct_modulus
-    return pack_int_vector([partial])
 
 
 def _key_owner_chunk_packed(task: bytes) -> bytes:
@@ -490,10 +414,11 @@ class WarmWorkerPool:
 
 
 class CryptoEngine:
-    """Partitioned, optionally multi-process executor for the kernels.
+    """Chunked, optionally multi-process encryption plus the in-process fold.
 
     Args:
-        workers: process count; ``<= 1`` runs everything in-process.
+        workers: encryption worker processes; ``<= 1`` encrypts
+            in-process.  The fold is in-process whatever this is.
         use_multiexp: route aggregation through the bucket kernel
             (False falls back to per-element ``pow`` — the CLI's
             ``--no-multiexp`` escape hatch for A/B measurement).
@@ -508,12 +433,6 @@ class CryptoEngine:
             derivation schedule, so two runs only match
             ciphertext-for-ciphertext when it is equal.
         window: bucket/table window override (None adapts per batch).
-        calibration: optional
-            :class:`~repro.crypto.calibration.CalibrationProfile`; when
-            given, every batch is routed to the mode the profile
-            measured fastest for the nearest (key_bits, n) point.
-            Build one with ``repro calibrate`` (persisted via
-            :mod:`repro.store`).
         private_key: optional Paillier private key.  A key-owning
             client that hands it over gets CRT-split obfuscators
             (half-width exponentiations mod p^2 and q^2, ~1.4x faster)
@@ -522,21 +441,14 @@ class CryptoEngine:
             never crosses a process boundary: parallel chunks fall back
             to the public-key kernel, which produces the same bytes.
         metrics: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            when given, every chunk fan-out observes its wall-clock into
+            when given, every batch (one encryption call or one fold)
+            observes its wall-clock into
             ``repro_engine_batch_seconds{mode=parallel|serial}``, batch
-            counts appear as ``repro_engine_batches_total``, per-batch
-            mode routing as
-            ``repro_engine_mode_selected_total{kind,mode}``, and every
+            counts appear as ``repro_engine_batches_total``, and every
             pool downgrade bumps ``repro_engine_pool_fallbacks_total``.
             Pass the server's registry to expose engine health on the
             same ``/metrics`` page.
     """
-
-    #: Calibration kinds and the modes the router understands for each.
-    MODES: Dict[str, Tuple[str, ...]] = {
-        "encrypt": ("serial", "parallel"),
-        "weighted": ("serial", "multiexp", "multiexp_mont", "parallel"),
-    }
 
     def __init__(
         self,
@@ -545,7 +457,6 @@ class CryptoEngine:
         fixed_base: bool = False,
         chunk_size: Optional[int] = None,
         window: Optional[int] = None,
-        calibration: Optional[Any] = None,
         private_key: Optional[Any] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -558,7 +469,6 @@ class CryptoEngine:
         self.fixed_base = fixed_base
         self.chunk_size = chunk_size
         self.window = window
-        self.calibration = calibration
         self.private_key = private_key
         #: guards the shared engine state below (batch counters and the
         #: fixed-base generator cache); pool lifecycle state has its own
@@ -574,7 +484,6 @@ class CryptoEngine:
         self.metrics = metrics
         self._batch_seconds: Dict[str, Histogram] = {}
         self._batches_total: Dict[str, Counter] = {}
-        self._mode_selected: Dict[Tuple[str, str], Counter] = {}
         self._pool_fallbacks: Optional[Counter] = None
         if metrics is not None:
             for mode in ("parallel", "serial"):
@@ -588,14 +497,6 @@ class CryptoEngine:
                     "Chunk batches executed, by execution mode.",
                     labels={"mode": mode},
                 )
-            for kind, modes in self.MODES.items():
-                for mode in modes:
-                    self._mode_selected[(kind, mode)] = metrics.counter(
-                        "repro_engine_mode_selected_total",
-                        "Batches routed to each kernel mode by the "
-                        "calibrated selector.",
-                        labels={"kind": kind, "mode": mode},
-                    )
             self._pool_fallbacks = metrics.counter(
                 "repro_engine_pool_fallbacks_total",
                 "Times the process pool was downgraded to the serial path.",
@@ -625,25 +526,7 @@ class CryptoEngine:
         """True once the pool failed to start or broke; serial from then on."""
         return self._pool.broken
 
-    # -- mode selection ---------------------------------------------------
-
-    def _select_mode(self, kind: str, key_bits: int, size: int) -> Optional[str]:
-        """The calibrated mode for this batch, or None for the heuristic."""
-        if self.calibration is None:
-            return None
-        mode = self.calibration.best_mode(kind, key_bits, size)
-        if mode is None or mode not in self.MODES.get(kind, ()):
-            return None
-        if mode == "parallel" and (self.workers <= 1 or self.pool_broken):
-            # Measured-fastest was parallel but this engine cannot run
-            # it; the next-best in-process kernel is the bucket fold.
-            mode = "multiexp" if kind == "weighted" else "serial"
-        return mode
-
-    def _note_mode(self, kind: str, mode: str) -> None:
-        counter = self._mode_selected.get((kind, mode))
-        if counter is not None:
-            counter.inc()
+    # -- metrics ----------------------------------------------------------
 
     def _note_pool_fallback(self) -> None:
         """Pool-breakage hook: count the downgrade (no-op without metrics)."""
@@ -665,23 +548,21 @@ class CryptoEngine:
         self,
         tasks: List[bytes],
         key_blob: bytes,
-        parallel: bool,
         serial_fn: Optional[Callable[[bytes], bytes]] = None,
     ) -> List[bytes]:
-        """Run the packed kernel over every task, in the pool when asked.
+        """Run the encryption kernel over every task.
 
+        The tasks go to the pool when it exists (``workers > 1``) and
+        there is more than one of them; otherwise they run in-process.
         ``serial_fn`` overrides the in-process kernel (the CRT-split
         encryption path); the pool always runs the public-key kernel,
         which produces identical bytes.
         """
-        kernel = _KERNELS[key_blob[:1]]
-        executor = (
-            self._pool.acquire(key_blob) if parallel and len(tasks) > 1 else None
-        )
+        executor = self._pool.acquire(key_blob) if len(tasks) > 1 else None
         if executor is not None:
             started = time.perf_counter()
             try:
-                results = list(executor.map(kernel, tasks))
+                results = list(executor.map(_encrypt_chunk_packed, tasks))
                 with self._lock:
                     self.parallel_batches += 1
                 self._observe_batch("parallel", time.perf_counter() - started)
@@ -696,7 +577,7 @@ class CryptoEngine:
                 dead = self._pool.mark_broken()
                 if dead is not None:
                     dead.shutdown(wait=False, cancel_futures=True)
-        fn = serial_fn if serial_fn is not None else kernel
+        fn = serial_fn if serial_fn is not None else _encrypt_chunk_packed
         started = time.perf_counter()
         results = [fn(task) for task in tasks]
         with self._lock:
@@ -790,9 +671,9 @@ class CryptoEngine:
 
         Chunks the vector, derives one DRBG seed per chunk from ``rng``
         up front (so the ciphertexts are a pure function of the seed
-        and chunk size, independent of worker count and routing mode),
-        and encrypts the chunks in parallel when the router picks the
-        pool.
+        and chunk size, independent of worker count), and encrypts the
+        chunks in the pool when the engine has ``workers > 1`` and there
+        is more than one chunk.
         """
         if not self.supports_key(public):
             raise ParameterError(
@@ -813,11 +694,8 @@ class CryptoEngine:
             )
             for start, stop in self._chunks(len(plaintexts), chunk_size)
         ]
-        mode = self._select_mode("encrypt", public.bits, len(plaintexts))
-        parallel = self.workers > 1 if mode is None else mode == "parallel"
-        self._note_mode("encrypt", "parallel" if parallel else "serial")
         chunks = self._run_packed(
-            tasks, key_blob, parallel, serial_fn=self._crt_serial_fn(public)
+            tasks, key_blob, serial_fn=self._crt_serial_fn(public)
         )
         return tuple(ct for chunk in chunks for ct in unpack_int_vector(chunk))
 
@@ -829,13 +707,14 @@ class CryptoEngine:
         weights: Sequence[int],
         initial: Optional[int] = None,
     ) -> int:
-        """``initial * prod_i c_i^{w_i} mod ct_modulus``, partitioned.
+        """``initial * prod_i c_i^{w_i} mod ct_modulus``, in-process.
 
         Scheme-agnostic: Paillier passes ``(n^2, n)``, Damgård–Jurik
         ``(n^{s+1}, n^s)``.  Weights are reduced into the exponent
-        group per chunk, matching the naive ``ciphertext_scale`` loop.
-        Every routing mode folds the same residues, so the result is
-        one fixed integer regardless of calibration.
+        group, matching the naive ``ciphertext_scale`` loop.  Folds with
+        the bucket kernel, or the naive loop when ``use_multiexp`` is
+        off; never in the pool, whatever ``workers`` is.  Counted as one
+        serial batch.
         """
         if len(ciphertexts) != len(weights):
             raise ParameterError(
@@ -845,35 +724,25 @@ class CryptoEngine:
         acc = 1 if initial is None else initial % ct_modulus
         if not ciphertexts:
             return acc
-        key_bits = exp_modulus.bit_length()
-        mode = self._select_mode("weighted", key_bits, len(ciphertexts))
-        use_multiexp = self.use_multiexp and mode != "serial"
-        montgomery = mode == "multiexp_mont" and ct_modulus % 2 == 1
-        parallel = self.workers > 1 if mode is None else mode == "parallel"
-        if mode is not None:
-            self._note_mode("weighted", mode)
+        started = time.perf_counter()
+        exponents = [w % exp_modulus for w in weights]
+        if self.use_multiexp:
+            acc = multi_exponent(
+                ciphertexts, exponents, ct_modulus, initial=acc, window=self.window
+            )
         else:
-            self._note_mode(
-                "weighted",
-                "parallel"
-                if parallel
-                else ("multiexp" if use_multiexp else "serial"),
-            )
-        key_blob = _weighted_key_blob(
-            ct_modulus, exp_modulus, self.window, use_multiexp, montgomery
-        )
-        chunk_size = self._chunk_size_for(key_bits)
-        tasks = [
-            _pack_frames(
-                key_blob,
-                pack_int_vector(list(ciphertexts[start:stop])),
-                pack_int_vector([w % exp_modulus for w in weights[start:stop]]),
-            )
-            for start, stop in self._chunks(len(ciphertexts), chunk_size)
-        ]
-        for packed in self._run_packed(tasks, key_blob, parallel):
-            (partial,) = unpack_int_vector(packed)
-            acc = acc * partial % ct_modulus
+            for ciphertext, exponent in zip(ciphertexts, exponents):
+                if exponent == 0:
+                    continue
+                term = (
+                    ciphertext
+                    if exponent == 1
+                    else pow(ciphertext, exponent, ct_modulus)
+                )
+                acc = acc * term % ct_modulus
+        with self._lock:
+            self.serial_batches += 1
+        self._observe_batch("serial", time.perf_counter() - started)
         return acc
 
     def rerandomize_vector(
@@ -927,13 +796,6 @@ class CryptoEngine:
         return tuple(
             ct * ob % nsquare for ct, ob in zip(ciphertexts, obfuscators)
         )
-
-
-#: Kernel dispatch by key-blob kind tag.
-_KERNELS: Dict[bytes, Callable[[bytes], bytes]] = {
-    _KIND_ENCRYPT: _encrypt_chunk_packed,
-    _KIND_WEIGHTED: _weighted_chunk_packed,
-}
 
 
 # -- key-owner obfuscator fan-out (the deployed client) ----------------------

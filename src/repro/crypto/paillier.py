@@ -790,7 +790,7 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     kernel (one shared squaring chain for the whole batch) unless
     ``use_multiexp=False`` restores the naive per-element loop, and an
     optional :class:`~repro.crypto.engine.CryptoEngine` parallelises
-    both vector encryption and aggregation across processes.
+    vector encryption across processes (its fold stays in-process).
     """
 
     name = "paillier"
@@ -914,8 +914,8 @@ class PaillierScheme(AdditiveHomomorphicScheme):
 
         Runs the simultaneous-multiexp bucket kernel (weights reduced
         into Z_n exactly as ``ciphertext_scale`` does, so the result is
-        bit-for-bit the naive loop's); a configured engine partitions
-        the batch across worker processes as well.
+        bit-for-bit the naive loop's); a configured engine folds it
+        instead, with its own ``use_multiexp`` setting.
         """
         if not self.use_multiexp and self.engine is None:
             return super().weighted_product(public, ciphertexts, weights, initial)

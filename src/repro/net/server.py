@@ -229,7 +229,7 @@ class SpfeServer:
         busy_retry_ms: retry-after hint carried in BUSY frames; must
             fit the frame's u32 field.
         engine: optional :class:`~repro.crypto.engine.CryptoEngine`
-            shared by every session for kernel-partitioned aggregation;
+            shared by every session for the in-process chunk fold;
             the server owns it once passed and closes it as the final
             step of its drain path, so worker processes never outlive
             the server.

@@ -596,9 +596,9 @@ class ServerSession:
         self.tracer = tracer
         #: trust-boundary limits; None preserves the legacy permissive mode
         self.policy = policy
-        #: optional :class:`~repro.crypto.engine.CryptoEngine`; chunks are
-        #: folded with the multiexp kernel either way, the engine adds
-        #: multi-process partitioning for large chunks
+        #: optional :class:`~repro.crypto.engine.CryptoEngine` that folds
+        #: each chunk in place of the default multiexp call (the CLI
+        #: passes one only for ``--no-multiexp``)
         self.engine = engine
         self._decoder = FrameDecoder(
             max_payload=policy.max_frame_payload if policy else None
@@ -796,7 +796,7 @@ class ServerSession:
         if batch_cts:
             # Fold the whole chunk with the simultaneous-multiexp kernel
             # (one shared squaring chain) instead of one pow() per
-            # element; an engine additionally partitions across workers.
+            # element, or through the engine when one was given.
             fold_started = time.perf_counter()
             if self.engine is not None:
                 self._aggregate = self.engine.weighted_product(

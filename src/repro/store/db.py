@@ -114,9 +114,8 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
         3,
         "calibration profiles: cached engine mode-selection measurements",
         (
-            # One JSON document per profile kind (see
-            # repro.crypto.calibration.PROFILE_KIND); `repro calibrate`
-            # writes it, serve/sum read it to route engine batches.
+            # One JSON document per profile kind, written by the
+            # former `repro calibrate` verb; dropped again in v4.
             """
             CREATE TABLE calibration (
                 kind       TEXT PRIMARY KEY,
@@ -124,6 +123,15 @@ MIGRATIONS: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
                 updated_at REAL NOT NULL
             )
             """,
+        ),
+    ),
+    (
+        4,
+        "drop calibration profiles: the engine routes by one fixed rule",
+        (
+            # Nothing reads a profile any more; a v3 store's rows go
+            # with the table.  Sessions and databases are untouched.
+            "DROP TABLE IF EXISTS calibration",
         ),
     ),
 )

@@ -33,13 +33,24 @@ class TestEncryptVector:
         assert [private.raw_decrypt(ct) for ct in cts] == plaintexts
 
     def test_parallel_matches_serial_byte_for_byte(self, keypair):
+        # The fixed rule: workers > 1 and more than one chunk means the
+        # pool, on the textbook and the CRT (private_key=) path alike,
+        # and the bytes never depend on it.
         public = keypair.public
         plaintexts = list(range(50))
-        with CryptoEngine(workers=1, chunk_size=8) as serial:
-            expected = serial.encrypt_vector(public, plaintexts, "determinism")
-        with CryptoEngine(workers=3, chunk_size=8) as parallel:
-            got = parallel.encrypt_vector(public, plaintexts, "determinism")
-        assert got == expected
+        for private_key in (None, keypair.private):
+            with CryptoEngine(
+                workers=1, chunk_size=8, private_key=private_key
+            ) as serial:
+                expected = serial.encrypt_vector(public, plaintexts, "determinism")
+            for workers in (2, 3):
+                with CryptoEngine(
+                    workers=workers, chunk_size=8, private_key=private_key
+                ) as parallel:
+                    got = parallel.encrypt_vector(public, plaintexts, "determinism")
+                    assert parallel.parallel_batches == 1
+                    assert parallel.serial_batches == 0
+                assert got == expected
 
     def test_fixed_base_ciphertexts_decrypt(self, keypair):
         public, private = keypair.public, keypair.private
@@ -94,7 +105,7 @@ class TestWeightedProduct:
         weights = list(range(25))
         initial = public.encrypt_raw(99, rng)
         expected = self._naive(public, cts, weights, initial)
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             with CryptoEngine(workers=workers, chunk_size=6) as engine:
                 assert (
                     engine.weighted_product(
@@ -102,6 +113,12 @@ class TestWeightedProduct:
                     )
                     == expected
                 )
+                # 25 elements are five chunks, yet the fold stays
+                # in-process: no pool batch, no worker ever spawned
+                assert engine.parallel_batches == 0
+                assert engine.serial_batches == 1
+                assert engine._pool._executor is None
+                assert not engine.pool_broken
 
     def test_no_multiexp_path_matches(self, keypair):
         public = keypair.public

@@ -10,6 +10,7 @@ import sqlite3
 
 import pytest
 
+from repro.datastore.database import ServerDatabase
 from repro.exceptions import StoreError
 from repro.store.db import (
     MIGRATIONS,
@@ -150,24 +151,78 @@ def test_migration_failure_leaves_resumable_prefix(tmp_path):
         conn.close()
 
 
-def test_v2_store_upgrades_to_v3_and_gains_calibration(tmp_path):
-    """A store from the pre-calibration release opens and gains the table."""
-    path = str(tmp_path / "v2.sqlite")
-    conn = open_store_db(path, migrations=MIGRATIONS[:2])
-    assert schema_version(conn) == 2
-    with pytest.raises(sqlite3.OperationalError):
-        conn.execute("SELECT * FROM calibration")
-    conn.close()
+def _old_store_with_rows(tmp_path, version):
+    """A store at schema ``version`` holding one journalled session and
+    one named database (plus, from v3 on, a calibration profile row).
+
+    The session and database rows are written by the current code into a
+    donor store and copied over verbatim: their encoding has not changed
+    since v2, so the copies are exactly what an older release wrote.
+    """
+    record = SessionRecord(
+        session_id=b"S" * 16,
+        key_bits=128,
+        chunk_size=4,
+        public_n=0x123,
+        aggregate=7,
+        received=8,
+        chunks_received=2,
+        done=False,
+        touched_at=1234.5,
+    )
+    database = ServerDatabase([5, 0, 17, 2**31], value_bits=32)
+    donor = str(tmp_path / "donor.sqlite")
+    with StateStore(donor) as store:
+        store.save_session(record)
+        store.save_database("sales", database)
+
+    path = str(tmp_path / ("v%d.sqlite" % version))
+    conn = open_store_db(path, migrations=MIGRATIONS[:version])
+    try:
+        conn.execute("ATTACH DATABASE ? AS donor", (donor,))
+        with conn:
+            conn.execute("INSERT INTO sessions SELECT * FROM donor.sessions")
+            conn.execute("INSERT INTO databases SELECT * FROM donor.databases")
+            if version >= 3:
+                conn.execute(
+                    "INSERT INTO calibration (kind, profile, updated_at)"
+                    " VALUES ('engine-mode-profile', '{}', 0)"
+                )
+        conn.execute("DETACH DATABASE donor")
+        assert schema_version(conn) == version
+        raw = (
+            conn.execute("SELECT * FROM sessions").fetchall(),
+            conn.execute("SELECT * FROM databases").fetchall(),
+        )
+    finally:
+        conn.close()
+    return path, record, database, raw
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_old_store_upgrades_to_v4_and_drops_calibration(tmp_path, version):
+    """v4 drops the calibration table; sessions and databases survive."""
+    path, record, database, raw = _old_store_with_rows(tmp_path, version)
 
     store = StateStore(path)
     try:
-        assert store.load_calibration("engine-mode-profile") is None
-        store.save_calibration("engine-mode-profile", "{}")
-        assert store.load_calibration("engine-mode-profile") == "{}"
+        assert store.load_session(b"S" * 16) == record
+        assert store.load_database("sales") == database
     finally:
         store.close()
     conn = sqlite3.connect(path)
     try:
-        assert schema_version(conn) == SCHEMA_VERSION
+        assert schema_version(conn) == SCHEMA_VERSION == 4
+        tables = {
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "calibration" not in tables
+        assert (
+            conn.execute("SELECT * FROM sessions").fetchall(),
+            conn.execute("SELECT * FROM databases").fetchall(),
+        ) == raw
     finally:
         conn.close()

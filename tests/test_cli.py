@@ -22,6 +22,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate"],
+            ["serve", "--random", "10", "--workers", "2"],
+            ["sum", "--random", "10", "--select", "1", "--state-dir", "s"],
+        ],
+    )
+    def test_removed_engine_knobs_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestSum:
     def test_random_database(self):
@@ -82,6 +95,17 @@ class TestSum:
     def test_bad_index(self):
         code, output = run_cli("sum", "--random", "10", "--select", "99")
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_rejects_nonpositive_workers(self, workers):
+        """Fewer than one worker is a usage error, not a silent serial run."""
+        code, output = run_cli(
+            "sum", "--real", "--random", "8", "--select", "1",
+            "--key-bits", "128", "--workers", workers,
+        )
+        assert code == 2
+        assert "error:" in output
+        assert "sum of" not in output
 
 
 class TestEstimate:
@@ -324,47 +348,3 @@ class TestServeQuery:
         )
         assert code == 2
         assert "error:" in output
-
-
-class TestCalibrate:
-    def test_calibrate_prints_table_and_persists(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        code, output = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1", "--state-dir", state_dir,
-        )
-        assert code == 0
-        assert "weighted" in output and "encrypt" in output
-        assert "multiexp" in output  # a timings column made it out
-
-        from repro.crypto.calibration import load_profile
-        from repro.store import StateStore
-
-        with StateStore.open(state_dir) as store:
-            profile = load_profile(store)
-        assert profile is not None
-        assert len(profile) == 2  # weighted + encrypt at one grid point
-        assert profile.best_mode("weighted", 64, 8) is not None
-
-    def test_sum_picks_up_persisted_profile(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        code, _ = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1", "--state-dir", state_dir,
-        )
-        assert code == 0
-        code, output = run_cli(
-            "sum", "--random", "16", "--select", "1,2", "--real",
-            "--key-bits", "64", "--state-dir", state_dir,
-        )
-        assert code == 0
-        assert "calibration profile loaded (2 measured points)" in output
-        assert "sum of 2 selected elements" in output
-
-    def test_calibrate_without_state_dir_is_ephemeral(self):
-        code, output = run_cli(
-            "calibrate", "--key-bits", "64", "--sizes", "8",
-            "--rounds", "1", "--workers", "1",
-        )
-        assert code == 0
-        assert "weighted" in output
