@@ -4,9 +4,9 @@ Measures the crypto kernels over a (key_bits, n) grid and writes the
 numbers to ``BENCH_kernels.json`` at the repo root:
 
 * the server aggregate ``prod_i c_i^{w_i} mod n^2`` — the naive
-  per-element ``pow()`` fold against the in-process multiexp bucket
-  kernel that :meth:`~repro.crypto.engine.CryptoEngine.weighted_product`
-  always runs;
+  per-element ``pow()`` fold against the
+  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel the
+  server and ``PaillierScheme.weighted_product`` fold with;
 * vector encryption — a 1-worker engine (serial chunk kernel) against a
   2-worker engine, which fans the same chunks out over its warm pool;
 * the encryption obfuscator ``r^n mod n^2`` — full ``pow()`` vs the
@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro.crypto.engine import CryptoEngine
-from repro.crypto.multiexp import FixedBaseTable
+from repro.crypto.multiexp import FixedBaseTable, multi_exponent
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rng import DeterministicRandom
 
@@ -92,13 +92,12 @@ def naive_weighted_product(ciphertexts, weights, modulus, n):
 
 
 def bench_weighted(public, ciphertexts, weights):
-    """Naive fold vs the engine's in-process multiexp fold at one point."""
+    """Naive fold vs the multiexp bucket kernel at one point."""
     n, nsquare = public.n, public.nsquare
-    with CryptoEngine(workers=1) as engine:
-        (naive_s, expected), (multiexp_s, result) = best_of_interleaved(
-            lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
-            lambda: engine.weighted_product(nsquare, n, ciphertexts, weights),
-        )
+    (naive_s, expected), (multiexp_s, result) = best_of_interleaved(
+        lambda: naive_weighted_product(ciphertexts, weights, nsquare, n),
+        lambda: multi_exponent(ciphertexts, [w % n for w in weights], nsquare),
+    )
     assert result == expected
     return {
         "naive_s": naive_s,

@@ -171,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="smallest client Paillier modulus accepted (policy knob)",
     )
     serve_cmd.add_argument(
-        "--no-multiexp", action="store_true",
-        help="fold chunks with naive per-ciphertext pow instead of the "
-        "simultaneous-multiexp kernel",
-    )
-    serve_cmd.add_argument(
         "--stats-port", type=int, default=None, metavar="PORT",
         help="serve /metrics, /metrics.json, and /healthz on this extra "
         "port (0 = ephemeral; disabled by default)",
@@ -391,11 +386,7 @@ def cmd_sum(args, out) -> int:
         if args.workers > 1:
             from repro.crypto.engine import CryptoEngine
 
-            engine = CryptoEngine(
-                workers=args.workers,
-                use_multiexp=not args.no_multiexp,
-                metrics=registry,
-            )
+            engine = CryptoEngine(workers=args.workers, metrics=registry)
         scheme = PaillierScheme(engine=engine, use_multiexp=not args.no_multiexp)
     context = environment.context(
         key_bits=args.key_bits, seed=args.seed, scheme=scheme, mode=mode
@@ -538,11 +529,6 @@ def cmd_serve(args, out) -> int:
             if store is not None and args.db_name:
                 store.save_database(args.db_name, database)
                 out.write("database saved to store as %r\n" % args.db_name)
-        engine = None
-        if args.no_multiexp:
-            from repro.crypto.engine import CryptoEngine
-
-            engine = CryptoEngine(use_multiexp=False, metrics=registry)
         server = SpfeServer(
             database,
             host=args.host,
@@ -554,7 +540,6 @@ def cmd_serve(args, out) -> int:
             read_timeout=args.timeout or None,
             connection_deadline_s=args.session_timeout or None,
             max_queries=args.queries,
-            engine=engine,
             metrics=registry,
             stats_port=args.stats_port,
             log=out.write,

@@ -1,18 +1,15 @@
-"""Multi-core execution engine for the crypto kernels (v2: warm workers).
+"""Multi-core execution engine for vector encryption (v2: warm workers).
 
 CPython's big-int ``pow`` holds the GIL, so threads cannot speed up
 client vector encryption — real parallelism needs processes.
-:class:`CryptoEngine` serves the two hot paths by one fixed rule:
-
-* ``encrypt_vector`` — the vector is partitioned into chunks, and when
-  the engine has ``workers > 1`` and there is more than one chunk, each
-  chunk is encrypted by a persistent :class:`WarmWorkerPool` worker
-  running the same deterministic kernel as the serial path.
-* ``weighted_product`` — always folds in-process with the
-  :func:`~repro.crypto.multiexp.multi_exponent` bucket kernel (or the
-  naive per-element ``pow`` loop when ``use_multiexp=False``).  Shipping
-  fold chunks to a pool measured no faster at any size the deployed
-  server sees (see ``docs/performance.md`` § Engine routing).
+:class:`CryptoEngine` only encrypts: ``encrypt_vector`` partitions the
+vector into chunks, and when the engine has ``workers > 1`` and there
+is more than one chunk, each chunk is encrypted by a persistent
+:class:`WarmWorkerPool` worker running the same deterministic kernel as
+the serial path.  The server aggregate is not the engine's job: the
+schemes and :class:`~repro.spfe.session.ServerSession` fold in-process
+with :func:`~repro.crypto.multiexp.multi_exponent` (see
+``docs/performance.md`` § Engine routing).
 
 **What changed from v1.**  The first engine lost to single-core
 multiexp because every dispatched chunk paid twice: pickling a list of
@@ -41,9 +38,7 @@ on 32, which the engine tests assert byte for byte.
 containers), or a pool that breaks mid-run all degrade to running the
 identical chunk kernels in-process — same results, one core.  The pool
 is created lazily on first parallel call and torn down by
-:meth:`close` (a context manager exit works too);
-:class:`~repro.net.server.SpfeServer` closes an engine it was given as
-part of its drain path.
+:meth:`close` (a context manager exit works too).
 
 **Key-owner sampling.**  :func:`key_owner_obfuscators` is the
 deployed client's fan-out: a process-wide :class:`WarmWorkerPool`
@@ -56,12 +51,11 @@ fallback (one CPU, a small batch, a pool that would not start or broke
 mid-batch) computes the same units in-process.  The factors reach only
 the client's own forked workers.
 
-**Thread safety.**  One engine is shared by every worker thread of a
-concurrent :class:`~repro.net.server.SpfeServer`.  Pool lifecycle
-state lives in :class:`WarmWorkerPool` behind its own lock; the
-engine's batch counters and fixed-base generator cache are mutated
-only under the engine lock.  ``seclint`` (rule SEC004) enforces both
-mechanically.
+**Thread safety.**  One engine may be shared by several threads that
+encrypt at once.  Pool lifecycle state lives in :class:`WarmWorkerPool`
+behind its own lock; the engine's batch counters and fixed-base
+generator cache are mutated only under the engine lock.  ``seclint``
+(rule SEC004) enforces both mechanically.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.multiexp import FixedBaseTable, multi_exponent
+from repro.crypto.multiexp import FixedBaseTable
 from repro.crypto.rng import RandomSource, as_random_source
 from repro.crypto.serialization import pack_int_vector, unpack_int_vector
 from repro.exceptions import ParameterError
@@ -163,10 +157,10 @@ def _unpack_frames(blob: bytes) -> List[bytes]:
 
 
 def _encrypt_key_blob(
-    n: int, fixed_base_h: Optional[int], exponent_bits: int, window: Optional[int]
+    n: int, fixed_base_h: Optional[int], exponent_bits: int
 ) -> bytes:
     return _KIND_ENCRYPT + pack_int_vector(
-        [n, 0 if fixed_base_h is None else fixed_base_h, exponent_bits, window or 0]
+        [n, 0 if fixed_base_h is None else fixed_base_h, exponent_bits]
     )
 
 
@@ -182,17 +176,14 @@ class _EncryptContext:
     def __init__(self, blob: bytes) -> None:
         from repro.crypto.paillier import PaillierPublicKey
 
-        n, h, exponent_bits, window = unpack_int_vector(blob)
+        n, h, exponent_bits = unpack_int_vector(blob)
         self.public = PaillierPublicKey(n)
         self.table: Optional[FixedBaseTable] = None
         if h:
             # This build is the expensive part v1 repeated per chunk;
             # here it happens once per key per process.
             self.table = FixedBaseTable(
-                pow(h, n, self.public.nsquare),
-                self.public.nsquare,
-                exponent_bits,
-                window or None,
+                pow(h, n, self.public.nsquare), self.public.nsquare, exponent_bits
             )
 
 
@@ -225,8 +216,8 @@ class KeyContextCache:
     (fixed-base table, private key), every later chunk — and
     with pool priming, the first one too — finds it warm.  Bounded so a
     long-lived server churning through keys cannot grow it without
-    limit.  Thread-safe: the parent process shares it across server
-    worker threads.
+    limit.  Thread-safe: the parent process shares it across every
+    thread that encrypts.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -414,14 +405,11 @@ class WarmWorkerPool:
 
 
 class CryptoEngine:
-    """Chunked, optionally multi-process encryption plus the in-process fold.
+    """Chunked, optionally multi-process Paillier vector encryption.
 
     Args:
         workers: encryption worker processes; ``<= 1`` encrypts
-            in-process.  The fold is in-process whatever this is.
-        use_multiexp: route aggregation through the bucket kernel
-            (False falls back to per-element ``pow`` — the CLI's
-            ``--no-multiexp`` escape hatch for A/B measurement).
+            in-process.
         fixed_base: draw encryption obfuscators as fixed-base powers
             ``(h^n)^x`` with a per-key random ``h`` instead of a full
             ``r^n`` per element (~6x faster; the randomness then ranges
@@ -432,32 +420,21 @@ class CryptoEngine:
             Results never depend on it, but it fixes the seed
             derivation schedule, so two runs only match
             ciphertext-for-ciphertext when it is equal.
-        window: bucket/table window override (None adapts per batch).
-        private_key: optional Paillier private key.  A key-owning
-            client that hands it over gets CRT-split obfuscators
-            (half-width exponentiations mod p^2 and q^2, ~1.4x faster)
-            on every in-process encryption chunk — byte-identical
-            ciphertexts, so this composes with determinism.  The key
-            never crosses a process boundary: parallel chunks fall back
-            to the public-key kernel, which produces the same bytes.
         metrics: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            when given, every batch (one encryption call or one fold)
-            observes its wall-clock into
+            when given, every batch (one encryption call) observes its
+            wall-clock into
             ``repro_engine_batch_seconds{mode=parallel|serial}``, batch
             counts appear as ``repro_engine_batches_total``, and every
             pool downgrade bumps ``repro_engine_pool_fallbacks_total``.
-            Pass the server's registry to expose engine health on the
-            same ``/metrics`` page.
+            Pass the run's registry to export engine health with the
+            rest of its metrics.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        use_multiexp: bool = True,
         fixed_base: bool = False,
         chunk_size: Optional[int] = None,
-        window: Optional[int] = None,
-        private_key: Optional[Any] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 0:
@@ -465,11 +442,8 @@ class CryptoEngine:
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError("chunk_size must be positive")
         self.workers = workers
-        self.use_multiexp = use_multiexp
         self.fixed_base = fixed_base
         self.chunk_size = chunk_size
-        self.window = window
-        self.private_key = private_key
         #: guards the shared engine state below (batch counters and the
         #: fixed-base generator cache); pool lifecycle state has its own
         #: lock inside WarmWorkerPool
@@ -544,19 +518,11 @@ class CryptoEngine:
 
     # -- chunk execution --------------------------------------------------
 
-    def _run_packed(
-        self,
-        tasks: List[bytes],
-        key_blob: bytes,
-        serial_fn: Optional[Callable[[bytes], bytes]] = None,
-    ) -> List[bytes]:
+    def _run_packed(self, tasks: List[bytes], key_blob: bytes) -> List[bytes]:
         """Run the encryption kernel over every task.
 
         The tasks go to the pool when it exists (``workers > 1``) and
         there is more than one of them; otherwise they run in-process.
-        ``serial_fn`` overrides the in-process kernel (the CRT-split
-        encryption path); the pool always runs the public-key kernel,
-        which produces identical bytes.
         """
         executor = self._pool.acquire(key_blob) if len(tasks) > 1 else None
         if executor is not None:
@@ -577,9 +543,8 @@ class CryptoEngine:
                 dead = self._pool.mark_broken()
                 if dead is not None:
                     dead.shutdown(wait=False, cancel_futures=True)
-        fn = serial_fn if serial_fn is not None else _encrypt_chunk_packed
         started = time.perf_counter()
-        results = [fn(task) for task in tasks]
+        results = [_encrypt_chunk_packed(task) for task in tasks]
         with self._lock:
             self.serial_batches += 1
         self._observe_batch("serial", time.perf_counter() - started)
@@ -622,45 +587,6 @@ class CryptoEngine:
                 self._fixed_base_h[public.n] = h
             return h
 
-    def _crt_serial_fn(self, public: Any) -> Optional[Callable[[bytes], bytes]]:
-        """The CRT-split in-process encryption kernel, when eligible.
-
-        Eligible when the engine holds the private key for ``public``
-        and the batch draws full ``r^n`` obfuscators (the fixed-base
-        path never computes ``r^n``, so there is nothing to split).
-        The replacement draws ``r`` identically and computes the same
-        obfuscator through half-width exponentiations — byte-identical
-        output, measured ~1.4x faster.
-        """
-        private = self.private_key
-        if (
-            private is None
-            or self.fixed_base
-            or getattr(private, "public_key", None) != public
-            or not hasattr(private, "obfuscator_from_r")
-        ):
-            return None
-
-        def crt_encrypt_chunk(task: bytes) -> bytes:
-            from repro.crypto.rng import DeterministicRandom
-
-            _key_blob, seed, payload = _unpack_frames(task)
-            rng = DeterministicRandom(seed)
-            out = []
-            for m in unpack_int_vector(payload):
-                while True:
-                    candidate = rng.randrange(1, public.n)
-                    if math.gcd(candidate, public.n) == 1:
-                        break
-                out.append(
-                    public.raw_encrypt(
-                        m % public.n, private.obfuscator_from_r(candidate)
-                    )
-                )
-            return pack_int_vector(out)
-
-        return crt_encrypt_chunk
-
     def encrypt_vector(
         self,
         public: Any,
@@ -684,7 +610,7 @@ class CryptoEngine:
             return ()
         source = as_random_source(rng)
         h = self._fixed_base_generator(public, source)
-        key_blob = _encrypt_key_blob(public.n, h, public.bits, self.window)
+        key_blob = _encrypt_key_blob(public.n, h, public.bits)
         chunk_size = self._chunk_size_for(public.bits)
         tasks = [
             _pack_frames(
@@ -694,108 +620,8 @@ class CryptoEngine:
             )
             for start, stop in self._chunks(len(plaintexts), chunk_size)
         ]
-        chunks = self._run_packed(
-            tasks, key_blob, serial_fn=self._crt_serial_fn(public)
-        )
+        chunks = self._run_packed(tasks, key_blob)
         return tuple(ct for chunk in chunks for ct in unpack_int_vector(chunk))
-
-    def weighted_product(
-        self,
-        ct_modulus: int,
-        exp_modulus: int,
-        ciphertexts: Sequence[int],
-        weights: Sequence[int],
-        initial: Optional[int] = None,
-    ) -> int:
-        """``initial * prod_i c_i^{w_i} mod ct_modulus``, in-process.
-
-        Scheme-agnostic: Paillier passes ``(n^2, n)``, Damgård–Jurik
-        ``(n^{s+1}, n^s)``.  Weights are reduced into the exponent
-        group, matching the naive ``ciphertext_scale`` loop.  Folds with
-        the bucket kernel, or the naive loop when ``use_multiexp`` is
-        off; never in the pool, whatever ``workers`` is.  Counted as one
-        serial batch.
-        """
-        if len(ciphertexts) != len(weights):
-            raise ParameterError(
-                "ciphertext/weight length mismatch: %d vs %d"
-                % (len(ciphertexts), len(weights))
-            )
-        acc = 1 if initial is None else initial % ct_modulus
-        if not ciphertexts:
-            return acc
-        started = time.perf_counter()
-        exponents = [w % exp_modulus for w in weights]
-        if self.use_multiexp:
-            acc = multi_exponent(
-                ciphertexts, exponents, ct_modulus, initial=acc, window=self.window
-            )
-        else:
-            for ciphertext, exponent in zip(ciphertexts, exponents):
-                if exponent == 0:
-                    continue
-                term = (
-                    ciphertext
-                    if exponent == 1
-                    else pow(ciphertext, exponent, ct_modulus)
-                )
-                acc = acc * term % ct_modulus
-        with self._lock:
-            self.serial_batches += 1
-        self._observe_batch("serial", time.perf_counter() - started)
-        return acc
-
-    def rerandomize_vector(
-        self,
-        public: Any,
-        ciphertexts: Sequence[int],
-        rng: Union[RandomSource, bytes, str, int, None] = None,
-        pool: Optional[Any] = None,
-    ) -> Tuple[int, ...]:
-        """Refresh the randomness of every ciphertext, batched.
-
-        With ``pool`` (a :class:`~repro.crypto.paillier.RandomnessPool`)
-        the obfuscators come from one :meth:`take_many` drain — pooled
-        values cost a single lock round-trip, and any shortfall is
-        computed in one unlocked batch.  Without a pool each obfuscator
-        is a fresh ``r^n`` from ``rng`` (the CRT split applies when the
-        engine holds the private key).  The multiplications themselves
-        are cheap; the obfuscators dominate, which is why the pool tier
-        (persisted by :mod:`repro.store`) is the fast path.
-        """
-        if not self.supports_key(public):
-            raise ParameterError(
-                "engine rerandomisation requires a Paillier public key, got %r"
-                % type(public).__name__
-            )
-        if not ciphertexts:
-            return ()
-        nsquare = public.nsquare
-        if pool is not None:
-            obfuscators = pool.take_many(len(ciphertexts))
-        else:
-            source = as_random_source(rng)
-            private = self.private_key
-            use_crt = (
-                private is not None
-                and not self.fixed_base
-                and getattr(private, "public_key", None) == public
-                and hasattr(private, "obfuscator_from_r")
-            )
-            obfuscators = []
-            for _ in ciphertexts:
-                while True:
-                    candidate = source.randrange(1, public.n)
-                    if math.gcd(candidate, public.n) == 1:
-                        break
-                obfuscators.append(
-                    private.obfuscator_from_r(candidate)
-                    if use_crt
-                    else pow(candidate, public.n, nsquare)
-                )
-        return tuple(
-            ct * ob % nsquare for ct, ob in zip(ciphertexts, obfuscators)
-        )
 
 
 # -- key-owner obfuscator fan-out (the deployed client) ----------------------

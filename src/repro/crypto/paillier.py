@@ -227,8 +227,6 @@ class PaillierPrivateKey:
         "_qsquare",
         "_hp",
         "_hq",
-        "_ep",
-        "_eq",
         "_inv_psquare",
     )
 
@@ -248,13 +246,9 @@ class PaillierPrivateKey:
         self._qsquare = q * q
         self._hp = self._h(p, self._psquare)
         self._hq = self._h(q, self._qsquare)
-        # CRT-split *encryption* constants: the obfuscator r^n can be
-        # computed mod p^2 and q^2 with exponents reduced mod the group
-        # exponents lambda(p^2) = p(p-1) and lambda(q^2) = q(q-1), then
-        # recombined.  modinv(p^2, q^2) is hoisted here because crt_pair
-        # would otherwise recompute it on every single encryption.
-        self._ep = public_key.n % (p * (p - 1))
-        self._eq = public_key.n % (q * (q - 1))
+        # Key-owner obfuscators are recombined from residues mod p^2 and
+        # q^2; modinv(p^2, q^2) is hoisted here because crt_pair would
+        # otherwise recompute it on every single obfuscator.
         self._inv_psquare = modinv(self._psquare, self._qsquare)
 
     def _h(self, prime: int, prime_sq: int) -> int:
@@ -276,40 +270,18 @@ class PaillierPrivateKey:
         """Decrypt and decode through the signed encoding."""
         return self.public_key.decode_signed(self.raw_decrypt(ciphertext))
 
-    # -- CRT-split encryption (key-owning clients) -------------------------
-
-    def obfuscator_from_r(self, r: int) -> int:
-        """``r^n mod n^2`` via two half-size exponentiations.
-
-        The key owner knows ``p`` and ``q``, so the full-width
-        exponentiation :meth:`PaillierPublicKey.obfuscator` pays for can
-        be split: ``r^n mod p^2`` with the exponent reduced mod
-        ``lambda(p^2) = p(p-1)`` (valid because ``gcd(r, n) = 1``),
-        likewise mod ``q^2``, then one Garner recombination.  Half-width
-        operands make each half ~4x cheaper, for a measured ~1.4x
-        end-to-end encryption speedup at 512-bit keys
-        (``docs/performance.md`` § CRT-split encryption).  The result is
-        bit-for-bit the same obfuscator, so ciphertexts are byte-identical
-        to the public-key path.
-        """
-        return self._crt(
-            pow(r % self._psquare, self._ep, self._psquare),
-            pow(r % self._qsquare, self._eq, self._qsquare),
-        )
+    # -- key-owner obfuscator sampling --------------------------------------
 
     def _crt(self, cp: int, cq: int) -> int:
         """Garner recombination of residues mod ``p^2`` and ``q^2``."""
         return cp + self._psquare * ((cq - cp) * self._inv_psquare % self._qsquare)
-
-    # -- key-owner obfuscator sampling --------------------------------------
 
     def obfuscator_from_units(self, x_p: int, x_q: int) -> int:
         """``CRT(x_p^p mod p^2, x_q^q mod q^2)`` for ``x_p`` in Z*_p, ``x_q`` in Z*_q.
 
         Two exponentiations with ``|p|``-bit exponents mod ``p^2`` and
         ``q^2``, against one ``|n|``-bit exponent mod ``n^2`` for
-        ``r^n`` (or two ``|n|``-bit exponents mod the half-size squares
-        for :meth:`obfuscator_from_r`): ~2.7x cheaper than ``r^n`` at
+        ``r^n``: ~2.7x cheaper than ``r^n`` at
         512-bit keys (``docs/performance.md`` § Key-owner obfuscator
         sampling).
 
@@ -339,25 +311,6 @@ class PaillierPrivateKey:
     def draw_units(self, source: RandomSource) -> Tuple[int, int]:
         """Uniform ``(x_p, x_q)`` from Z*_p x Z*_q for :meth:`obfuscator_from_units`."""
         return source.randrange(1, self.p), source.randrange(1, self.q)
-
-    def encrypt_raw_crt(
-        self, plaintext: int, rng: Optional[RandomSource] = None
-    ) -> int:
-        """One-shot raw encryption through the CRT split.
-
-        Draws ``r`` exactly as :meth:`PaillierPublicKey.obfuscator` does
-        (same rejection loop, same RNG consumption), so with the same
-        seeded source this produces *byte-identical* ciphertexts to
-        ``public_key.encrypt_raw`` — only faster.  The property suite in
-        ``tests/crypto/test_paillier.py`` pins that equality.
-        """
-        source = as_random_source(rng)
-        public = self.public_key
-        while True:
-            r = source.randrange(1, public.n)
-            if math.gcd(r, public.n) == 1:
-                break
-        return public.raw_encrypt(plaintext % public.n, self.obfuscator_from_r(r))
 
     def __repr__(self) -> str:
         return "PaillierPrivateKey(bits=%d)" % self.public_key.bits
@@ -423,12 +376,10 @@ class RandomnessPool:
     whole chunk's worth at once.
 
     The pool is thread-safe: ``take``/``precompute``/``len`` may be
-    called from concurrent sessions (e.g. under a
-    :class:`~repro.crypto.engine.CryptoEngine`-backed server), and the
-    ``generated``/``misses`` accounting stays exact under concurrent
-    drains.  Draws from the shared RNG also happen under the lock — an
-    HMAC-DRBG mutates state on every draw and is not itself
-    thread-safe.
+    called from concurrent threads, and the ``generated``/``misses``
+    accounting stays exact under concurrent drains.  Draws from the
+    shared RNG also happen under the lock — an HMAC-DRBG mutates state
+    on every draw and is not itself thread-safe.
     """
 
     def __init__(
@@ -790,24 +741,18 @@ class PaillierScheme(AdditiveHomomorphicScheme):
     kernel (one shared squaring chain for the whole batch) unless
     ``use_multiexp=False`` restores the naive per-element loop, and an
     optional :class:`~repro.crypto.engine.CryptoEngine` parallelises
-    vector encryption across processes (its fold stays in-process).
+    vector encryption across processes.
     """
 
     name = "paillier"
 
     def __init__(
-        self,
-        engine: Optional[object] = None,
-        use_multiexp: bool = True,
-        pool: Optional[RandomnessPool] = None,
+        self, engine: Optional[object] = None, use_multiexp: bool = True
     ) -> None:
         #: optional :class:`~repro.crypto.engine.CryptoEngine` (duck-typed
         #: so this module never imports the engine; None = in-process)
         self.engine = engine
         self.use_multiexp = use_multiexp
-        #: optional :class:`RandomnessPool` batched rerandomisation draws
-        #: obfuscators from (the persistent §3.3 offline tier)
-        self.pool = pool
 
     def generate(
         self, bits: int = DEFAULT_KEY_BITS, rng: Union[RandomSource, bytes, str, int, None] = None
@@ -870,39 +815,6 @@ class PaillierScheme(AdditiveHomomorphicScheme):
             return self.engine.encrypt_vector(public, plaintexts, rng)
         return super().encrypt_vector(public, plaintexts, rng)
 
-    def rerandomize_vector(
-        self,
-        public: PaillierPublicKey,
-        ciphertexts: Sequence[int],
-        rng: Union[RandomSource, bytes, str, int, None] = None,
-    ) -> Tuple[int, ...]:
-        """Batched rerandomisation, pooled and engine-backed when possible.
-
-        With an engine configured, the whole vector goes through one
-        :meth:`~repro.crypto.engine.CryptoEngine.rerandomize_vector`
-        call; a matching :class:`RandomnessPool` supplies precomputed
-        obfuscators in one batched drain.  Falls back to the per-element
-        base path otherwise.
-        """
-        pool = (
-            self.pool
-            if self.pool is not None and self.pool.public_key == public
-            else None
-        )
-        if self.engine is not None and self.engine.supports_key(public):
-            return self.engine.rerandomize_vector(
-                public, ciphertexts, rng, pool=pool
-            )
-        if pool is not None:
-            nsquare = public.nsquare
-            return tuple(
-                ct * ob % nsquare
-                for ct, ob in zip(
-                    ciphertexts, pool.take_many(len(ciphertexts))
-                )
-            )
-        return super().rerandomize_vector(public, ciphertexts, rng)
-
     def weighted_product(
         self,
         public: PaillierPublicKey,
@@ -914,17 +826,13 @@ class PaillierScheme(AdditiveHomomorphicScheme):
 
         Runs the simultaneous-multiexp bucket kernel (weights reduced
         into Z_n exactly as ``ciphertext_scale`` does, so the result is
-        bit-for-bit the naive loop's); a configured engine folds it
-        instead, with its own ``use_multiexp`` setting.
+        bit-for-bit the naive loop's), or the naive loop itself under
+        ``use_multiexp=False``.  The engine, if any, never folds.
         """
-        if not self.use_multiexp and self.engine is None:
+        if not self.use_multiexp:
             return super().weighted_product(public, ciphertexts, weights, initial)
         if len(ciphertexts) != len(weights):
             raise ValueError("ciphertext/weight length mismatch")
-        if self.engine is not None:
-            return self.engine.weighted_product(
-                public.nsquare, public.n, ciphertexts, weights, initial
-            )
         return multi_exponent(
             ciphertexts,
             [w % public.n for w in weights],

@@ -127,15 +127,3 @@ class AdditiveHomomorphicScheme:
             term = c if w == 1 else self.ciphertext_scale(public, c, w)
             acc = self.ciphertext_add(public, acc, term)
         return acc
-
-    def rerandomize_vector(
-        self, public: Any, ciphertexts: Sequence[Any], rng: Any = None
-    ) -> Tuple[Any, ...]:
-        """Refresh the randomness of a ciphertext vector.
-
-        The default is one :meth:`rerandomize` per element; schemes with
-        batch infrastructure (Paillier through a
-        :class:`~repro.crypto.engine.CryptoEngine` and its obfuscator
-        pool) override this with a pooled batch path.
-        """
-        return tuple(self.rerandomize(public, c, rng) for c in ciphertexts)

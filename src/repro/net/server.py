@@ -228,16 +228,10 @@ class SpfeServer:
             first failed connection, as the pre-concurrency server did).
         busy_retry_ms: retry-after hint carried in BUSY frames; must
             fit the frame's u32 field.
-        engine: optional :class:`~repro.crypto.engine.CryptoEngine`
-            shared by every session for the in-process chunk fold;
-            the server owns it once passed and closes it as the final
-            step of its drain path, so worker processes never outlive
-            the server.
         metrics: optional shared
             :class:`~repro.obs.registry.MetricsRegistry`; None builds a
             private one.  All counters, gauges, and phase histograms of
-            this server live there (and an engine passed in can share
-            it for a single unified exposition).
+            this server live there.
         stats_port: when not None, :meth:`start` also binds a
             :class:`~repro.obs.http.StatsEndpoint` on ``(host,
             stats_port)`` (0 = ephemeral; see :attr:`stats_address`)
@@ -261,7 +255,6 @@ class SpfeServer:
         connection_deadline_s: Optional[float] = None,
         max_queries: int = 0,
         busy_retry_ms: int = 250,
-        engine: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
         stats_port: Optional[int] = None,
         log: Optional[Callable[[str], object]] = None,
@@ -300,7 +293,6 @@ class SpfeServer:
         self.connection_deadline_s = connection_deadline_s
         self.max_queries = max_queries
         self.busy_retry_ms = busy_retry_ms
-        self.engine = engine
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ServerStats(self.metrics)
         self.tracer = Tracer(registry=self.metrics)
@@ -590,11 +582,6 @@ class SpfeServer:
                     self._listener.close()
                 except OSError:
                     pass
-            if self.engine is not None:
-                # Last step of the drain: no session can still be folding
-                # once the workers have joined, so the kernel pool can be
-                # torn down without cutting work short.
-                self.engine.close()
             if self._stats_endpoint is not None:
                 self._stats_endpoint.close()
             self._finalized = True
@@ -809,7 +796,6 @@ class SpfeServer:
             self.database,
             registry=self.registry,
             policy=self.policy,
-            engine=self.engine,
             tracer=self.tracer,
         )
         transport = SocketTransport(connection, read_timeout=self.read_timeout)

@@ -148,7 +148,7 @@ class PreprocessedSelectedSumProtocol(SelectedSumBase):
         # ---- offline phase: fill the pool before the query exists ----
         zeros = self.pool_zeros if self.pool_zeros is not None else len(database)
         ones = self.pool_ones if self.pool_ones is not None else len(database)
-        pool = EncryptionPool(scheme, public, ctx.rng, engine=self.engine)
+        pool = EncryptionPool(scheme, public, ctx.rng, self.engine)
         with ctx.compute(CLIENT, Op.ENCRYPT, zeros + ones) as off_block:
             pool.fill(zeros, ones)
         offline_s = off_block.seconds

@@ -568,11 +568,10 @@ class ServerSession:
     connection.  The only shared objects it reaches are the
     :class:`SessionRegistry` (every method takes the registry lock; its
     optional :class:`~repro.store.state.StateStore` serialises on its
-    own connection lock), the metrics/tracer instruments (each mutation
-    under the instrument's lock), and the
-    :class:`~repro.crypto.engine.CryptoEngine`, whose submission path is
-    shared by the whole worker pool.  A *single* session object must
-    not be fed from two threads at once.
+    own connection lock) and the metrics/tracer instruments (each
+    mutation under the instrument's lock).  Each chunk is folded
+    in-process with :func:`~repro.crypto.multiexp.multi_exponent`.  A
+    *single* session object must not be fed from two threads at once.
     """
 
     _WAIT_HELLO = "wait-hello"
@@ -585,7 +584,6 @@ class ServerSession:
         database: ServerDatabase,
         registry: Optional[SessionRegistry] = None,
         policy: Optional[ServerPolicy] = None,
-        engine: Optional[object] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.database = database
@@ -596,10 +594,6 @@ class ServerSession:
         self.tracer = tracer
         #: trust-boundary limits; None preserves the legacy permissive mode
         self.policy = policy
-        #: optional :class:`~repro.crypto.engine.CryptoEngine` that folds
-        #: each chunk in place of the default multiexp call (the CLI
-        #: passes one only for ``--no-multiexp``)
-        self.engine = engine
         self._decoder = FrameDecoder(
             max_payload=policy.max_frame_payload if policy else None
         )
@@ -621,8 +615,6 @@ class ServerSession:
         self.last_error: Optional[ProtocolError] = None
         #: chunk frames folded into the aggregate (duplicates excluded)
         self.chunk_frames_processed = 0
-        #: every ciphertext seen, for transcript audits in tests
-        self.ciphertext_log: List[int] = []
 
     @staticmethod
     def _error_code(exc: ProtocolError) -> int:
@@ -791,24 +783,18 @@ class ServerSession:
             if value:
                 batch_cts.append(ct)
                 batch_weights.append(value)
-            self.ciphertext_log.append(ct)
             self._received += 1
         if batch_cts:
             # Fold the whole chunk with the simultaneous-multiexp kernel
             # (one shared squaring chain) instead of one pow() per
-            # element, or through the engine when one was given.
+            # element.
             fold_started = time.perf_counter()
-            if self.engine is not None:
-                self._aggregate = self.engine.weighted_product(
-                    nsquare, n, batch_cts, batch_weights, self._aggregate
-                )
-            else:
-                self._aggregate = multi_exponent(
-                    batch_cts,
-                    [w % n for w in batch_weights],
-                    nsquare,
-                    initial=self._aggregate,
-                )
+            self._aggregate = multi_exponent(
+                batch_cts,
+                [w % n for w in batch_weights],
+                nsquare,
+                initial=self._aggregate,
+            )
             if self.tracer is not None:
                 self.tracer.record("fold", time.perf_counter() - fold_started)
         self._chunks_received += 1

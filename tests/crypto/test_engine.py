@@ -1,16 +1,19 @@
-"""Tests for the multi-process crypto engine.
+"""Tests for the multi-process crypto engine and the scheme fold.
 
-The engine's contract has two halves: *correctness* (results equal the
-serial kernels, ciphertexts decrypt to the right plaintexts) and
-*determinism* (a seeded run is byte-identical whether chunks execute
-in-process or on N workers, because chunking and per-chunk seed
-derivation never depend on the worker count).  Pool failures must
-degrade to serial execution, never to wrong answers.
+The engine only encrypts.  Its contract has two halves: *correctness*
+(ciphertexts decrypt to the right plaintexts) and *determinism* (a
+seeded run is byte-identical whether chunks execute in-process or on N
+workers, because chunking and per-chunk seed derivation never depend on
+the worker count).  Pool failures must degrade to serial execution,
+never to wrong answers.  The server aggregate belongs to the scheme:
+``PaillierScheme.weighted_product`` folds with ``multi_exponent`` or,
+under ``use_multiexp=False``, the naive loop, engine or not.
 """
 
 import pytest
 
 from repro.crypto.engine import DEFAULT_CHUNK_SIZE, CryptoEngine
+from repro.crypto.multiexp import multi_exponent
 from repro.crypto.paillier import PaillierScheme, generate_keypair
 from repro.crypto.rng import DeterministicRandom
 from repro.crypto.simulated import SimulatedPaillier
@@ -24,6 +27,13 @@ def keypair():
     return generate_keypair(KEY_BITS, "engine-tests")
 
 
+def naive_fold(public, cts, weights, initial=None):
+    acc = 1 if initial is None else initial % public.nsquare
+    for ct, w in zip(cts, weights):
+        acc = acc * pow(ct, w % public.n, public.nsquare) % public.nsquare
+    return acc
+
+
 class TestEncryptVector:
     def test_serial_matches_scheme_encryption(self, keypair):
         public, private = keypair.public, keypair.private
@@ -34,23 +44,17 @@ class TestEncryptVector:
 
     def test_parallel_matches_serial_byte_for_byte(self, keypair):
         # The fixed rule: workers > 1 and more than one chunk means the
-        # pool, on the textbook and the CRT (private_key=) path alike,
-        # and the bytes never depend on it.
+        # pool, and the bytes never depend on it.
         public = keypair.public
         plaintexts = list(range(50))
-        for private_key in (None, keypair.private):
-            with CryptoEngine(
-                workers=1, chunk_size=8, private_key=private_key
-            ) as serial:
-                expected = serial.encrypt_vector(public, plaintexts, "determinism")
-            for workers in (2, 3):
-                with CryptoEngine(
-                    workers=workers, chunk_size=8, private_key=private_key
-                ) as parallel:
-                    got = parallel.encrypt_vector(public, plaintexts, "determinism")
-                    assert parallel.parallel_batches == 1
-                    assert parallel.serial_batches == 0
-                assert got == expected
+        with CryptoEngine(workers=1, chunk_size=8) as serial:
+            expected = serial.encrypt_vector(public, plaintexts, "determinism")
+        for workers in (2, 3):
+            with CryptoEngine(workers=workers, chunk_size=8) as parallel:
+                got = parallel.encrypt_vector(public, plaintexts, "determinism")
+                assert parallel.parallel_batches == 1
+                assert parallel.serial_batches == 0
+            assert got == expected
 
     def test_fixed_base_ciphertexts_decrypt(self, keypair):
         public, private = keypair.public, keypair.private
@@ -81,22 +85,15 @@ class TestEncryptVector:
 
 
 class TestWeightedProduct:
-    def _naive(self, public, cts, weights, initial=None):
-        acc = 1 if initial is None else initial % public.nsquare
-        for ct, w in zip(cts, weights):
-            acc = acc * pow(ct, w % public.n, public.nsquare) % public.nsquare
-        return acc
+    """The scheme's fold equals the naive loop, whatever the engine."""
 
     def test_matches_naive_fold(self, keypair):
         public = keypair.public
         rng = DeterministicRandom("wp")
         cts = [public.encrypt_raw(i, rng) for i in range(30)]
         weights = [rng.randrange(0, 1 << 32) for _ in cts]
-        with CryptoEngine(workers=1, chunk_size=7) as engine:
-            got = engine.weighted_product(
-                public.nsquare, public.n, cts, weights
-            )
-        assert got == self._naive(public, cts, weights)
+        got = PaillierScheme().weighted_product(public, cts, weights)
+        assert got == naive_fold(public, cts, weights)
 
     def test_initial_and_worker_count_invariance(self, keypair):
         public = keypair.public
@@ -104,44 +101,47 @@ class TestWeightedProduct:
         cts = [public.encrypt_raw(i + 1, rng) for i in range(25)]
         weights = list(range(25))
         initial = public.encrypt_raw(99, rng)
-        expected = self._naive(public, cts, weights, initial)
+        expected = naive_fold(public, cts, weights, initial)
         for workers in (1, 2, 3):
             with CryptoEngine(workers=workers, chunk_size=6) as engine:
+                scheme = PaillierScheme(engine=engine)
                 assert (
-                    engine.weighted_product(
-                        public.nsquare, public.n, cts, weights, initial
-                    )
+                    scheme.weighted_product(public, cts, weights, initial)
                     == expected
                 )
-                # 25 elements are five chunks, yet the fold stays
-                # in-process: no pool batch, no worker ever spawned
+                # the fold never touches the engine: no batch counted,
+                # no worker ever spawned
                 assert engine.parallel_batches == 0
-                assert engine.serial_batches == 1
+                assert engine.serial_batches == 0
                 assert engine._pool._executor is None
-                assert not engine.pool_broken
 
     def test_no_multiexp_path_matches(self, keypair):
         public = keypair.public
         rng = DeterministicRandom("wp-naive")
         cts = [public.encrypt_raw(i, rng) for i in range(12)]
         weights = [0, 1, 2, 3] * 3
-        with CryptoEngine(workers=1, use_multiexp=False) as engine:
-            got = engine.weighted_product(public.nsquare, public.n, cts, weights)
-        assert got == self._naive(public, cts, weights)
+        got = PaillierScheme(use_multiexp=False).weighted_product(
+            public, cts, weights
+        )
+        assert got == naive_fold(public, cts, weights)
 
     def test_empty_batch_returns_initial(self, keypair):
         public = keypair.public
-        with CryptoEngine() as engine:
-            assert engine.weighted_product(public.nsquare, public.n, [], []) == 1
-            assert (
-                engine.weighted_product(public.nsquare, public.n, [], [], 7) == 7
-            )
+        for use_multiexp in (True, False):
+            scheme = PaillierScheme(use_multiexp=use_multiexp)
+            assert scheme.weighted_product(public, [], []) == 1
+            assert scheme.weighted_product(public, [], [], 7) == 7
+        assert multi_exponent([], [], public.nsquare, initial=7) == 7
 
     def test_rejects_length_mismatch(self, keypair):
         public = keypair.public
-        with CryptoEngine() as engine:
-            with pytest.raises(ParameterError):
-                engine.weighted_product(public.nsquare, public.n, [1], [])
+        for use_multiexp in (True, False):
+            with pytest.raises(ValueError):
+                PaillierScheme(use_multiexp=use_multiexp).weighted_product(
+                    public, [1], []
+                )
+        with pytest.raises(ParameterError):
+            multi_exponent([1], [], public.nsquare)
 
 
 class TestLifecycleAndFallback:
@@ -201,6 +201,8 @@ class TestSchemeIntegration:
             weights = [2, 3, 4]
             got = scheme.weighted_product(public, cts, weights)
             assert private.raw_decrypt(got) == 5 * 2 + 6 * 3 + 7 * 4
+            # encryption went through the engine, the fold did not
+            assert engine.serial_batches == 1
 
     def test_no_multiexp_scheme_matches_base_fold(self, keypair):
         public, private = keypair.public, keypair.private
@@ -216,12 +218,49 @@ class TestSchemeIntegration:
             i * w for i, w in enumerate(weights)
         )
 
+    def test_engine_never_overrides_the_scheme_fold_flag(
+        self, keypair, monkeypatch
+    ):
+        # Regression: a scheme given an engine used to fold through the
+        # engine with the engine's own use_multiexp (default True), so
+        # the scheme's use_multiexp=False was silently ignored.
+        import sys
+
+        from repro.crypto import multiexp
+
+        original = multiexp.multi_exponent
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro")
+                and getattr(module, "multi_exponent", None) is original
+            ):
+                monkeypatch.setattr(module, "multi_exponent", spy)
+        public = keypair.public
+        rng = DeterministicRandom("scheme-flag")
+        cts = [public.encrypt_raw(i, rng) for i in range(10)]
+        weights = [7 * i for i in range(10)]
+        initial = public.encrypt_raw(5, rng)
+        with CryptoEngine(workers=2) as engine:
+            scheme = PaillierScheme(engine=engine, use_multiexp=False)
+            got = scheme.weighted_product(public, cts, weights, initial)
+        assert calls == []
+        assert got == naive_fold(public, cts, weights, initial)
+        # the spy is live: the default scheme does reach it
+        PaillierScheme().weighted_product(public, cts, weights)
+        assert len(calls) == 1
+
 
 class TestThreadSafety:
     """Regression tests for the engine's internal lock.
 
-    One engine instance is shared by every server worker thread, so its
-    counters, fixed-base cache, and pool handle are all cross-thread
+    One engine instance may be shared by several encrypting threads, so
+    its counters, fixed-base cache, and pool handle are all cross-thread
     state.  These tests hammer that state from several threads and check
     that no update is lost and no result is corrupted; before the lock
     was added they failed intermittently with dropped counter increments.
@@ -340,75 +379,6 @@ class TestAdaptiveChunkSize:
             ) == b.encrypt_vector(public, plaintexts, "adaptive-det")
 
 
-class TestCrtPrivateKeyPath:
-    def test_crt_engine_is_byte_identical(self, keypair):
-        public, private = keypair.public, keypair.private
-        plaintexts = list(range(24))
-        with CryptoEngine(workers=1, chunk_size=8) as baseline:
-            expected = baseline.encrypt_vector(public, plaintexts, "crt-path")
-        with CryptoEngine(
-            workers=1, chunk_size=8, private_key=private
-        ) as crt_engine:
-            assert (
-                crt_engine.encrypt_vector(public, plaintexts, "crt-path")
-                == expected
-            )
-
-    def test_mismatched_private_key_falls_back(self, keypair):
-        other = generate_keypair(KEY_BITS, "engine-other-key")
-        public, private = keypair.public, keypair.private
-        with CryptoEngine(workers=1, private_key=other.private) as engine:
-            cts = engine.encrypt_vector(public, [1, 2, 3], "crt-mismatch")
-        assert [private.raw_decrypt(ct) for ct in cts] == [1, 2, 3]
-
-    def test_fixed_base_disables_crt_but_stays_correct(self, keypair):
-        public, private = keypair.public, keypair.private
-        with CryptoEngine(
-            workers=1, fixed_base=True, private_key=private
-        ) as engine:
-            cts = engine.encrypt_vector(public, [4, 5], "crt-fixed-base")
-        assert [private.raw_decrypt(ct) for ct in cts] == [4, 5]
-
-
-class TestEngineRerandomizeVector:
-    def test_preserves_plaintexts_and_changes_bytes(self, keypair):
-        public, private = keypair.public, keypair.private
-        cts = [public.encrypt_raw(m, "err-%d" % m) for m in (1, 2, 3)]
-        with CryptoEngine(workers=1) as engine:
-            fresh = engine.rerandomize_vector(public, cts, "err-seed")
-        assert all(a != b for a, b in zip(fresh, cts))
-        assert [private.raw_decrypt(c) for c in fresh] == [1, 2, 3]
-
-    def test_pooled_obfuscators_are_used(self, keypair):
-        from repro.crypto.paillier import RandomnessPool
-
-        public, private = keypair.public, keypair.private
-        pool = RandomnessPool(public, "engine-rrv-pool")
-        pool.precompute(3)
-        cts = [public.encrypt_raw(m, "errp-%d" % m) for m in (6, 7, 8)]
-        with CryptoEngine(workers=1) as engine:
-            fresh = engine.rerandomize_vector(public, cts, pool=pool)
-        assert [private.raw_decrypt(c) for c in fresh] == [6, 7, 8]
-        assert len(pool) == 0
-
-    def test_crt_private_key_matches_public_path(self, keypair):
-        public, private = keypair.public, keypair.private
-        cts = [public.encrypt_raw(m, "errc-%d" % m) for m in (9, 10)]
-        with CryptoEngine(workers=1) as public_engine:
-            expected = public_engine.rerandomize_vector(public, cts, "errc")
-        with CryptoEngine(workers=1, private_key=private) as crt_engine:
-            assert crt_engine.rerandomize_vector(public, cts, "errc") == expected
-
-    def test_rejects_non_paillier_key(self):
-        with CryptoEngine(workers=1) as engine:
-            with pytest.raises(ParameterError):
-                engine.rerandomize_vector(object(), [1])
-
-    def test_empty_vector(self, keypair):
-        with CryptoEngine(workers=1) as engine:
-            assert engine.rerandomize_vector(keypair.public, []) == ()
-
-
 class TestPackedTaskCodec:
     def test_frames_roundtrip(self):
         from repro.crypto.engine import _pack_frames, _unpack_frames
@@ -436,8 +406,8 @@ class TestPackedTaskCodec:
 
         cache = KeyContextCache(capacity=2)
         blobs = [
-            _encrypt_key_blob(keypair.public.n, None, keypair.public.bits, w)
-            for w in (2, 3, 4)
+            _encrypt_key_blob(keypair.public.n, h, keypair.public.bits)
+            for h in (2, 3, 5)
         ]
         for blob in blobs:
             cache.get(blob)

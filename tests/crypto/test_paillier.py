@@ -476,34 +476,6 @@ class TestRandomnessPoolFixedBase:
         assert c.decrypt(keypair.private) == 7
 
 
-class TestCrtEncryption:
-    """CRT-split encryption: half-width exponentiations, identical bytes."""
-
-    def test_obfuscator_from_r_matches_full_pow(self, keypair):
-        pk, sk = keypair.public, keypair.private
-        rng = DeterministicRandom("crt-obf")
-        for _ in range(10):
-            r = rng.randrange(1, pk.n)
-            if __import__("math").gcd(r, pk.n) != 1:
-                continue
-            assert sk.obfuscator_from_r(r) == pow(r, pk.n, pk.nsquare)
-
-    def test_encrypt_raw_crt_is_byte_identical(self, keypair):
-        pk, sk = keypair.public, keypair.private
-        for m in (0, 1, 12345, pk.n - 1):
-            seed = "crt-enc-%d" % m
-            assert sk.encrypt_raw_crt(m, seed) == pk.encrypt_raw(m, seed)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**64), st.integers())
-    def test_crt_roundtrip_property(self, keypair, m, seed):
-        pk, sk = keypair.public, keypair.private
-        plaintext = m % pk.n
-        ciphertext = sk.encrypt_raw_crt(plaintext, DeterministicRandom(seed))
-        assert ciphertext == pk.encrypt_raw(plaintext, DeterministicRandom(seed))
-        assert sk.raw_decrypt(ciphertext) == plaintext
-
-
 def _lam(sk):
     return math.lcm(sk.p - 1, sk.q - 1)
 
@@ -791,35 +763,3 @@ class TestRefillDoesNotBlockConsumers:
         # accounting stays exact under the race: everything ever pooled
         # was either taken or is still pooled
         assert pool.generated + pool.misses >= 50
-
-
-class TestSchemeRerandomizeVector:
-    def test_base_path_preserves_plaintexts(self, keypair):
-        scheme = PaillierScheme()
-        pk, sk = keypair.public, keypair.private
-        cts = [pk.encrypt_raw(m, "rrv-%d" % m) for m in (1, 2, 3)]
-        fresh = scheme.rerandomize_vector(pk, cts, "rrv-seed")
-        assert len(fresh) == 3
-        assert all(a != b for a, b in zip(fresh, cts))
-        assert [sk.raw_decrypt(c) for c in fresh] == [1, 2, 3]
-
-    def test_pooled_path_drains_the_pool(self, keypair):
-        pk, sk = keypair.public, keypair.private
-        pool = RandomnessPool(pk, "rrv-pool")
-        pool.precompute(4)
-        scheme = PaillierScheme(pool=pool)
-        cts = [pk.encrypt_raw(m, "rrvp-%d" % m) for m in (7, 8)]
-        fresh = scheme.rerandomize_vector(pk, cts)
-        assert [sk.raw_decrypt(c) for c in fresh] == [7, 8]
-        assert len(pool) == 2  # two obfuscators drained
-        assert pool.misses == 0
-
-    def test_mismatched_pool_is_ignored(self, keypair, other_keypair):
-        pool = RandomnessPool(other_keypair.public, "rrv-wrong")
-        pool.precompute(2)
-        scheme = PaillierScheme(pool=pool)
-        pk, sk = keypair.public, keypair.private
-        cts = [pk.encrypt_raw(5, "rrv-mismatch")]
-        fresh = scheme.rerandomize_vector(pk, cts, "rrv-mismatch-2")
-        assert sk.raw_decrypt(fresh[0]) == 5
-        assert len(pool) == 2  # untouched: it belongs to another key

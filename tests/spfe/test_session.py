@@ -61,15 +61,34 @@ class TestInMemory:
         assert server.bytes_sent == client.bytes_received
 
     def test_server_sees_only_ciphertexts(self, workload_bytes):
-        """Transcript audit at the byte level: every logged value is a
-        full-size element of Z*_{n^2}, never a small plaintext."""
+        """Transcript audit at the byte level: every value the client
+        put on the wire is a full-size element of Z*_{n^2}, never a
+        small plaintext, and none repeats."""
         database, selection = workload_bytes
         client = make_client(selection)
         server = ServerSession(database)
-        run_sessions_in_memory(client, server)
-        assert len(server.ciphertext_log) == len(database)
-        assert all(ct > 2**64 for ct in server.ciphertext_log)
-        assert len(set(server.ciphertext_log)) == len(database)  # no reuse
+        wire = bytearray()
+        receive = server.receive_bytes
+
+        def observe(data):
+            wire.extend(data)
+            return receive(data)
+
+        server.receive_bytes = observe
+        assert run_sessions_in_memory(client, server) == database.select_sum(
+            selection
+        )
+        decoder = codec.FrameDecoder()
+        decoder.feed(bytes(wire))
+        ciphertexts = [
+            ct
+            for frame in decoder.frames()
+            if frame.frame_type == FrameType.ENC_CHUNK
+            for ct in codec.decode_ciphertext_chunk(frame.payload, client.key_bits)
+        ]
+        assert len(ciphertexts) == len(database)
+        assert all(ct > 2**64 for ct in ciphertexts)
+        assert len(set(ciphertexts)) == len(database)  # no reuse
 
     @settings(max_examples=8, deadline=None)
     @given(st.data())

@@ -27,6 +27,7 @@ class TestParser:
         [
             ["calibrate"],
             ["serve", "--random", "10", "--workers", "2"],
+            ["serve", "--no-multiexp"],
             ["sum", "--random", "10", "--select", "1", "--state-dir", "s"],
         ],
     )
@@ -153,9 +154,23 @@ class TestKeygen:
 
 class TestFigures:
     def test_quick_figures(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUICK", "1")
-        # Restrict to a tiny sweep via the env var the runners honour.
+        # The figures' numbers are locked by tests/experiments; this
+        # checks the CLI wiring, so every figure runs at one tiny size.
+        import os
+
+        from repro import experiments
+
+        run_paper_figures = experiments.run_paper_figures
+        monkeypatch.setattr(
+            experiments,
+            "run_paper_figures",
+            lambda: run_paper_figures(sizes=(1_000,)),
+        )
+        # setenv records the original value, so teardown also undoes
+        # the flag that --quick sets
+        monkeypatch.setenv("REPRO_QUICK", "0")
         code, output = run_cli("figures", "--quick", "--out", str(tmp_path))
+        assert os.environ["REPRO_QUICK"] == "1"
         assert code == 0
         assert "figure2" in output
         assert (tmp_path / "figure2.txt").exists()
