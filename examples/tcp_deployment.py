@@ -45,8 +45,11 @@ def serve(listener, database, ready, served):
     Each read carries a deadline, so a peer that dies mid-protocol
     costs at most ``READ_TIMEOUT_S`` before the connection is dropped
     with a typed failure — the serve loop then simply accepts the next
-    connection.  The shared registry is what lets a reconnecting client
-    resume instead of restarting.
+    connection.  Each session enforces the default
+    :class:`~repro.spfe.validation.ServerPolicy` (accepted key sizes,
+    frame and byte quotas, and the ``Z*_{n^2}`` check on every
+    ciphertext), exactly as ``repro serve`` does.  The shared registry
+    is what lets a reconnecting client resume instead of restarting.
     """
     registry = SessionRegistry()
     ready.set()

@@ -130,7 +130,7 @@ class PolicyViolation(ValidationError):
 
     The input may be internally consistent — it is simply larger, longer,
     or weaker than this server is willing to process (key bits outside
-    the accepted range, per-session byte quota exhausted, too many
+    the accepted range, per-connection byte quota exhausted, too many
     chunks, ...).
     """
 

@@ -195,17 +195,14 @@ class SpfeServer:
     Args:
         database: the server-side data; shared read-only by all workers.
         host/port: bind address (port 0 = ephemeral; see :attr:`port`).
-        policy: trust-boundary limits applied to every session; None
-            installs the default :class:`ServerPolicy` (pass an explicit
-            permissive policy to loosen).
-        registry: shared resume registry; None builds one sized by the
-            policy's registry budgets.
+        policy: trust-boundary limits applied to every session (pass a
+            looser :class:`ServerPolicy` to relax a limit).
         store: optional :class:`~repro.store.state.StateStore` making
-            the registry a durable journal — sessions survive a server
-            *process* restart, not just a dropped connection.  Ignored
-            when an explicit ``registry`` is passed (attach the store to
-            that registry instead).  The server does not own the store:
-            the caller that opened it closes it after :meth:`stop`.
+            the resume registry (sized by the policy's registry budgets)
+            a durable journal — sessions survive a server *process*
+            restart, not just a dropped connection.  The server does not
+            own the store: the caller that opened it closes it after
+            :meth:`stop`.
         max_sessions: worker threads = maximum concurrent sessions.
         accept_backlog: bounded queue of accepted-but-unstarted
             connections; beyond it, connections are shed with BUSY.
@@ -246,8 +243,7 @@ class SpfeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        policy: Optional[ServerPolicy] = None,
-        registry: Optional[SessionRegistry] = None,
+        policy: ServerPolicy = ServerPolicy(),
         store: Optional[StateStore] = None,
         max_sessions: int = 4,
         accept_backlog: int = 8,
@@ -280,13 +276,8 @@ class SpfeServer:
             raise ParameterError("busy_retry_ms must fit in an unsigned 32-bit field")
         self.database = database
         self.host = host
-        self.policy = policy if policy is not None else ServerPolicy()
-        self.store = store if registry is None else None
-        self.registry = (
-            registry
-            if registry is not None
-            else SessionRegistry.from_policy(self.policy, store=self.store)
-        )
+        self.policy = policy
+        self.registry = SessionRegistry.from_policy(self.policy, store=store)
         self.max_sessions = max_sessions
         self.accept_backlog = accept_backlog
         self.read_timeout = read_timeout

@@ -15,18 +15,18 @@ same protocol runs over a real socket, a pipe, or any
   public key, encrypted chunks); :meth:`receive_bytes` consumes the
   server's reply and exposes :attr:`result`.
 
-Resilience (wire v2, the default): every frame carries a CRC and chunk
-frames carry their absolute index, and sessions are *resumable*.  The
-client advertises a random 16-byte session id in its HELLO; the server
-tracks the last contiguously received chunk per session id in a
-:class:`SessionRegistry`.  After a disconnect the client reconnects,
-sends RESUME, and the server answers ACK with the next chunk index it
-expects — the client then re-sends only the missing chunks from its
-cache instead of re-encrypting the whole vector (client-side Paillier
-encryption dominates the protocol's cost, paper §3).  If the server has
-evicted the session the ACK says so and the client restarts cleanly.
-:func:`run_resilient` packages the whole reconnect-and-resume loop
-behind a retry policy.
+Resilience: every frame carries a CRC and chunk frames carry their
+absolute index, so the server drops duplicates and refuses gaps, and
+sessions are *resumable*.  The client sends a random 16-byte session id
+in its HELLO; the server tracks the last contiguously received chunk
+per session id in a :class:`SessionRegistry`.  After a disconnect the
+client reconnects, sends RESUME, and the server answers ACK with the
+next chunk index it expects — the client then re-sends only the missing
+chunks from its cache instead of re-encrypting the whole vector
+(client-side Paillier encryption dominates the protocol's cost, paper
+§3).  If the server has evicted the session the ACK says so and the
+client restarts cleanly.  :func:`run_resilient` packages the whole
+reconnect-and-resume loop behind a retry policy.
 
 The tests drive a pair of sessions through ``socket.socketpair()`` —
 real kernel buffers, real partial reads — and assert the sum is correct
@@ -106,7 +106,6 @@ class ClientSession:
         key_bits: int = 512,
         chunk_size: int = DEFAULT_CHUNK,
         rng: Optional[RandomSource] = None,
-        wire_version: int = codec.WIRE_VERSION_2,
         keypair: Optional[SchemeKeyPair] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -116,12 +115,9 @@ class ClientSession:
             raise ProtocolError("selection weights must be non-negative")
         if chunk_size < 1:
             raise ProtocolError("chunk size must be positive")
-        if wire_version not in (codec.WIRE_VERSION_1, codec.WIRE_VERSION_2):
-            raise ProtocolError("unsupported wire version %d" % wire_version)
         self.selection = list(selection)
         self.key_bits = key_bits
         self.chunk_size = chunk_size
-        self.wire_version = wire_version
         #: optional :class:`~repro.obs.tracing.Tracer` recording the
         #: paper's client phases (``encrypt``, ``decrypt``, ``resume``)
         self.tracer = tracer
@@ -140,12 +136,8 @@ class ClientSession:
             self.public_key, self._rng, private_key=self._private_key
         )
         self.pool.expect(len(self.selection), chunk_size)
-        #: 16-byte resumable-session identifier (None on legacy v1 wire)
-        self.session_id: Optional[bytes] = (
-            self._rng.randbytes(codec.SESSION_ID_BYTES)
-            if wire_version == codec.WIRE_VERSION_2
-            else None
-        )
+        #: 16-byte resumable-session identifier
+        self.session_id = self._rng.randbytes(codec.SESSION_ID_BYTES)
         self._decoder = FrameDecoder()
         self._encoded_chunks: Dict[int, bytes] = {}
         self._ack: Optional[int] = None
@@ -166,9 +158,6 @@ class ClientSession:
         """Number of chunk frames the full selection occupies."""
         return (len(self.selection) + self.chunk_size - 1) // self.chunk_size
 
-    def _sequence(self, value: int) -> Optional[int]:
-        return value if self.wire_version == codec.WIRE_VERSION_2 else None
-
     def _chunk_frame(self, index: int) -> bytes:
         """Encode chunk ``index``, encrypting at most once per chunk."""
         cached = self._encoded_chunks.get(index)
@@ -185,7 +174,7 @@ class ClientSession:
                 )
             self.encryptions += len(chunk)
             cached = codec.encode_ciphertext_chunk(
-                ciphertexts, self.key_bits, self._sequence(index)
+                ciphertexts, self.key_bits, index
             )
             self._encoded_chunks[index] = cached
         return cached
@@ -211,14 +200,11 @@ class ClientSession:
             len(self.selection),
             self.chunk_size,
             self.session_id,
-            self._sequence(0),
         )
         self.bytes_sent += len(hello)
         yield hello
 
-        pk = codec.encode_public_key(
-            self.public_key.n, self.key_bits, self._sequence(0)
-        )
+        pk = codec.encode_public_key(self.public_key.n, self.key_bits)
         self.bytes_sent += len(pk)
         yield pk
 
@@ -229,8 +215,6 @@ class ClientSession:
 
     def resume_request(self) -> bytes:
         """The RESUME frame to send on a fresh connection."""
-        if self.session_id is None:
-            raise SessionResumeError("legacy v1 sessions cannot resume")
         self._ack = None
         self._awaiting_ack = True
         data = codec.encode_resume(self.session_id)
@@ -557,9 +541,11 @@ class SessionRegistry:
 class ServerSession:
     """The database side, as a byte-stream state machine.
 
-    Pass a shared :class:`SessionRegistry` to make sessions resumable
-    across connections; without one the server still speaks v1 and v2
-    wire but answers every RESUME with "unknown, restart".
+    Every session enforces a :class:`ServerPolicy` (the default one
+    unless given).  Pass a shared :class:`SessionRegistry` to make
+    sessions resumable across connections; without one the session
+    keeps a private registry, so a RESUME on a fresh session answers
+    "unknown, restart".
 
     One thread per session: this class performs **no I/O** —
     :meth:`receive_bytes` maps input bytes to output bytes and touches
@@ -583,20 +569,24 @@ class ServerSession:
         self,
         database: ServerDatabase,
         registry: Optional[SessionRegistry] = None,
-        policy: Optional[ServerPolicy] = None,
+        policy: ServerPolicy = ServerPolicy(),
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.database = database
-        self.registry = registry
+        #: trust-boundary limits: key sizes, frame and quota caps, and
+        #: the gcd check on every ciphertext (a frozen dataclass, so the
+        #: shared default instance is safe)
+        self.policy = policy
+        self.registry = (
+            registry
+            if registry is not None
+            else SessionRegistry.from_policy(self.policy)
+        )
         #: optional :class:`~repro.obs.tracing.Tracer` recording the
         #: server's ``fold`` phase (a concurrent server shares one
         #: tracer across all of its sessions)
         self.tracer = tracer
-        #: trust-boundary limits; None preserves the legacy permissive mode
-        self.policy = policy
-        self._decoder = FrameDecoder(
-            max_payload=policy.max_frame_payload if policy else None
-        )
+        self._decoder = FrameDecoder(max_payload=self.policy.max_frame_payload)
         self._state = self._WAIT_HELLO
         self._key_bits = 0
         self._chunk_size = 0
@@ -606,7 +596,6 @@ class ServerSession:
         self._chunks_received = 0
         self._session_id: Optional[bytes] = None
         self._resume_state: Optional[_ResumeState] = None
-        self._peer_wire_version = codec.WIRE_VERSION_1
         self.bytes_received = 0
         self.bytes_sent = 0
         #: True once a protocol violation has been answered with ERROR
@@ -629,28 +618,22 @@ class ServerSession:
         self.bytes_received += len(data)
         out = bytearray()
         try:
-            if (
-                self.policy is not None
-                and self.bytes_received > self.policy.max_session_bytes
-            ):
+            if self.bytes_received > self.policy.max_session_bytes:
                 raise PolicyViolation(
-                    "session exceeded its %d-byte inbound quota"
+                    "connection exceeded its %d-byte inbound quota"
                     % self.policy.max_session_bytes
                 )
             self._decoder.feed(data)
             for frame in self._decoder.frames():
-                self._peer_wire_version = frame.version
                 out.extend(self._handle(frame))
         except ProtocolError as exc:
             self.errored = True
             self.last_error = exc
-            if self.registry is not None and self._session_id is not None:
+            if self._session_id is not None:
                 # Never keep resume state for a session that violated the
                 # protocol: a rejected peer must restart, not resume.
                 self.registry.discard(self._session_id)
-            error = codec.encode_error(
-                str(exc), self._error_code(exc), self._reply_sequence()
-            )
+            error = codec.encode_error(str(exc), self._error_code(exc))
             self.bytes_sent += len(error)
             return bytes(error)
         self.bytes_sent += len(out)
@@ -660,9 +643,6 @@ class ServerSession:
     def finished(self) -> bool:
         """True once the result has been produced."""
         return self._state == self._DONE
-
-    def _reply_sequence(self) -> Optional[int]:
-        return 0 if self._peer_wire_version == codec.WIRE_VERSION_2 else None
 
     # -- state machine ---------------------------------------------------------
 
@@ -683,10 +663,7 @@ class ServerSession:
         key_bits, database_size, chunk_size, session_id = codec.decode_hello(
             frame.payload
         )
-        if self.policy is not None:
-            check_hello(key_bits, database_size, chunk_size, self.policy)
-        elif chunk_size < 1:
-            raise ProtocolError("chunk size must be positive")
+        check_hello(key_bits, database_size, chunk_size, self.policy)
         if database_size != len(self.database):
             raise ProtocolError(
                 "client assumes %d elements; this database has %d"
@@ -707,29 +684,28 @@ class ServerSession:
         n = codec.decode_public_key(frame.payload)
         if n.bit_length() > self._key_bits:
             raise ProtocolError("public key larger than announced")
-        if self.policy is not None:
-            check_public_key(n, self._key_bits)
+        check_public_key(n, self._key_bits)
         self._public_key = PaillierPublicKey(n)
         self._state = self._RECEIVING
-        if self.registry is not None and self._session_id is not None:
-            # Only register once the key is known: a pre-key session has
-            # nothing worth resuming, so RESUME answers "restart".  The
-            # registry holds a frozen snapshot; this session keeps (and
-            # mutates) its own private copy.
-            self._resume_state = _ResumeState(
-                self._key_bits, self._chunk_size, self._public_key
-            )
-            self.registry.save(self._session_id, self._resume_state.snapshot())
+        # Only register once the key is known: a pre-key session has
+        # nothing worth resuming, so RESUME answers "restart".  The
+        # registry holds a frozen snapshot; this session keeps (and
+        # mutates) its own private copy.
+        assert self._session_id is not None
+        self._resume_state = _ResumeState(
+            self._key_bits, self._chunk_size, self._public_key
+        )
+        self.registry.save(self._session_id, self._resume_state.snapshot())
         return b""
 
     def _on_resume(self, frame: Frame) -> bytes:
         if self._state != self._WAIT_HELLO:
             raise ProtocolError("RESUME must be the first frame of a connection")
         session_id = codec.decode_resume(frame.payload)
-        entry = self.registry.get(session_id) if self.registry is not None else None
+        entry = self.registry.get(session_id)
         if entry is None:
             # Unknown or evicted: tell the client to start over.
-            return codec.encode_ack(codec.RESUME_UNKNOWN, self._reply_sequence())
+            return codec.encode_ack(codec.RESUME_UNKNOWN)
         # Copy-on-resume: work on a private copy so a second connection
         # resuming the same id (an honest client whose old read timed
         # out, reconnecting while the stale connection is still being
@@ -743,14 +719,12 @@ class ServerSession:
         self._aggregate = state.aggregate
         self._received = state.received
         self._chunks_received = state.chunks_received
-        reply = codec.encode_ack(state.chunks_received, self._reply_sequence())
+        reply = codec.encode_ack(state.chunks_received)
         if state.done:
             # The previous connection died between computing the result
             # and the client receiving it: re-send the result directly.
             self._state = self._DONE
-            reply += codec.encode_result(
-                self._aggregate, self._key_bits, self._reply_sequence()
-            )
+            reply += codec.encode_result(self._aggregate, self._key_bits)
         else:
             self._state = self._RECEIVING
         return reply
@@ -759,14 +733,13 @@ class ServerSession:
         if frame.frame_type != FrameType.ENC_CHUNK:
             raise ProtocolError("expected ENC_CHUNK")
         assert self._public_key is not None
-        if frame.version == codec.WIRE_VERSION_2:
-            if frame.sequence < self._chunks_received:
-                return b""  # duplicate of an already-folded chunk: ignore
-            if frame.sequence > self._chunks_received:
-                raise ProtocolError(
-                    "chunk sequence gap: got %d, expected %d"
-                    % (frame.sequence, self._chunks_received)
-                )
+        if frame.sequence < self._chunks_received:
+            return b""  # duplicate of an already-folded chunk: ignore
+        if frame.sequence > self._chunks_received:
+            raise ProtocolError(
+                "chunk sequence gap: got %d, expected %d"
+                % (frame.sequence, self._chunks_received)
+            )
         ciphertexts = codec.decode_ciphertext_chunk(frame.payload, self._key_bits)
         if self._received + len(ciphertexts) > len(self.database):
             raise ProtocolError("client sent more ciphertexts than elements")
@@ -775,10 +748,7 @@ class ServerSession:
         batch_cts: List[int] = []
         batch_weights: List[int] = []
         for ct in ciphertexts:
-            if self.policy is not None:
-                check_ciphertext(ct, n, nsquare)
-            elif not 0 < ct < nsquare:
-                raise ProtocolError("ciphertext outside Z*_{n^2}")
+            check_ciphertext(ct, n, nsquare)
             value = self.database[self._received]
             if value:
                 batch_cts.append(ct)
@@ -800,23 +770,19 @@ class ServerSession:
         self._chunks_received += 1
         self.chunk_frames_processed += 1
         done = self._received == len(self.database)
-        if self._resume_state is not None:
-            state = self._resume_state
-            state.aggregate = self._aggregate
-            state.received = self._received
-            state.chunks_received = self._chunks_received
-            state.done = done
-            if self._session_id is not None and self.registry is not None:
-                # Publish a frozen snapshot: registry entries are never
-                # mutated in place, so a concurrent resume always reads
-                # a self-consistent (aggregate, received) pair and can
-                # never double-fold a chunk.
-                self.registry.save(self._session_id, state.snapshot())
+        state = self._resume_state
+        assert state is not None and self._session_id is not None
+        state.aggregate = self._aggregate
+        state.received = self._received
+        state.chunks_received = self._chunks_received
+        state.done = done
+        # Publish a frozen snapshot: registry entries are never mutated
+        # in place, so a concurrent resume always reads a self-consistent
+        # (aggregate, received) pair and can never double-fold a chunk.
+        self.registry.save(self._session_id, state.snapshot())
         if done:
             self._state = self._DONE
-            return codec.encode_result(
-                self._aggregate, self._key_bits, self._reply_sequence()
-            )
+            return codec.encode_result(self._aggregate, self._key_bits)
         return b""
 
 
@@ -997,7 +963,7 @@ def run_resilient(
             return client.result
         except TransportError as exc:
             last = exc
-            resuming = client.session_id is not None
+            resuming = True
         finally:
             transport.close()
     if metrics is not None:

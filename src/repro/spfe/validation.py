@@ -16,8 +16,9 @@ Two kinds of check, surfacing as two exception types:
   sharing a factor with n is never produced by honest encryption, and
   folding one into the aggregate would corrupt the sum for free).
 * :class:`~repro.exceptions.PolicyViolation` — resource limits from a
-  :class:`ServerPolicy`: accepted key sizes, frame/payload caps,
-  per-session chunk and byte quotas, and registry residency budgets.
+  :class:`ServerPolicy`: accepted key sizes, frame/payload caps, a
+  per-session chunk quota, a per-connection byte quota, and registry
+  residency budgets.
 
 :class:`ServerPolicy` is a frozen dataclass so a policy can be shared
 across all connections of a :class:`~repro.net.server.SpfeServer`
@@ -61,10 +62,12 @@ class ServerPolicy:
         max_chunks: most ENC_CHUNK frames one session may announce
             (``ceil(database_size / chunk_size)``), bounding per-session
             frame count independently of byte volume.
-        max_session_bytes: inbound byte quota for one session, resumes
-            included.  An honest session needs HELLO + key + one
-            ciphertext per element; the default is sized for the paper's
-            512-bit keys at n = 100k with generous headroom.
+        max_session_bytes: inbound byte quota per connection.  Each
+            connection counts from zero, so a session resumed over a
+            new connection gets a fresh quota.  An honest session needs
+            HELLO + key + one ciphertext per element; the default is
+            sized for the paper's 512-bit keys at n = 100k with
+            generous headroom.
         max_registry_sessions: resume-state count bound (LRU evicted).
         max_registry_bytes: resume-state *residency* bound in bytes —
             session count alone does not bound memory when key sizes
@@ -97,7 +100,7 @@ class ServerPolicy:
                 raise ParameterError("%s must be positive" % name)
         if self.max_frame_payload > self.max_session_bytes:
             raise ParameterError(
-                "max_frame_payload exceeds the whole session byte quota"
+                "max_frame_payload exceeds the per-connection byte quota"
             )
 
 

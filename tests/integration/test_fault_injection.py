@@ -78,8 +78,11 @@ class TestCorruptStreams:
             if reply:
                 client.receive_bytes(reply)
         assert server.finished
-        reply = server.receive_bytes(codec.encode_hello(128, 30, 10))
-        assert error_frame_of(reply) is not None
+        hello = codec.encode_hello(128, 30, 10, client.session_id, 0)
+        reply = server.receive_bytes(hello)
+        frame = error_frame_of(reply)
+        assert frame is not None
+        assert "after protocol completion" in codec.decode_error(frame.payload)[1]
 
 
 class TestMaliciousValues:
@@ -97,8 +100,10 @@ class TestMaliciousValues:
         stream = list(client.initial_bytes())
         server.receive_bytes(stream[0])
         server.receive_bytes(stream[1])
-        reply = server.receive_bytes(codec.encode_ciphertext_chunk([0], 128))
-        assert error_frame_of(reply) is not None
+        reply = server.receive_bytes(codec.encode_ciphertext_chunk([0], 128, 0))
+        frame = error_frame_of(reply)
+        assert frame is not None
+        assert "outside Z*_{n^2}" in codec.decode_error(frame.payload)[1]
 
     def test_tampered_result_detected_by_width(self, session_pair):
         database, _, client = session_pair
@@ -109,8 +114,8 @@ class TestMaliciousValues:
         decoder = FrameDecoder()
         decoder.feed(reply)
         frame = next(decoder.frames())
-        tampered = codec.encode_frame(FrameType.RESULT, frame.payload[:-1])
-        with pytest.raises(ProtocolError):
+        tampered = codec.encode_frame(FrameType.RESULT, frame.payload[:-1], 0)
+        with pytest.raises(ProtocolError, match="wrong width"):
             client.receive_bytes(tampered)
 
     def test_tampered_result_changes_value(self, session_pair):
@@ -127,7 +132,9 @@ class TestMaliciousValues:
         frame = next(decoder.frames())
         flipped = bytearray(frame.payload)
         flipped[-1] ^= 0x01
-        client.receive_bytes(codec.encode_frame(FrameType.RESULT, bytes(flipped)))
+        client.receive_bytes(
+            codec.encode_frame(FrameType.RESULT, bytes(flipped), 0)
+        )
         assert client.result != database.select_sum(selection)
 
 

@@ -1,5 +1,7 @@
 """Tests for the byte-level wire codec."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,28 +18,41 @@ class TestFraming:
         frames = list(decoder.frames())
         assert frames == [Frame(FrameType.RESULT, b"payload")]
 
-    def test_header_size_matches_model(self):
-        """The codec's 8-byte header is exactly what the performance
-        model charges per message (FRAME_HEADER_BYTES)."""
-        from repro.crypto.serialization import FRAME_HEADER_BYTES
-
-        data = codec.encode_frame(FrameType.RESULT, b"")
-        assert len(data) == FRAME_HEADER_BYTES
-
     def test_unknown_type_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
             codec.encode_frame(99, b"")
 
+    @staticmethod
+    def _header(frame_type, length):
+        # The type and length checks run before the CRC is read, so a
+        # zero CRC field reaches them.
+        return struct.pack(
+            ">HBBIII", codec.WIRE_MAGIC, codec.WIRE_VERSION, frame_type, 0, length, 0
+        )
+
     def test_unknown_type_rejected_on_decode(self):
         decoder = FrameDecoder()
-        decoder.feed(b"\x00\x00\x00\x63\x00\x00\x00\x00")
-        with pytest.raises(ProtocolError):
+        decoder.feed(self._header(99, 0))
+        with pytest.raises(ProtocolError, match="frame type 99"):
             list(decoder.frames())
 
     def test_oversized_payload_rejected(self):
         decoder = FrameDecoder()
-        decoder.feed(b"\x00\x00\x00\x01\xff\xff\xff\xff")
-        with pytest.raises(ProtocolError):
+        decoder.feed(self._header(FrameType.RESULT, 0xFFFFFFFF))
+        with pytest.raises(ProtocolError, match="payload"):
+            list(decoder.frames())
+
+    def test_headerless_stream_rejected_after_two_bytes(self):
+        """A stream without the frame magic — e.g. an 8-byte ``type,
+        length`` HELLO header — is refused from its first two bytes,
+        before a full header could even have been buffered."""
+        payload = codec._HELLO.pack(codec.PROTOCOL_VERSION, 512, 10, 5)
+        legacy_hello = struct.pack(">II", FrameType.HELLO, len(payload)) + payload
+        decoder = FrameDecoder()
+        decoder.feed(legacy_hello[:1])
+        assert list(decoder.frames()) == []
+        decoder.feed(legacy_hello[1:2])
+        with pytest.raises(ProtocolError, match="magic 0x0000"):
             list(decoder.frames())
 
     def test_partial_frames_buffered(self):
@@ -74,11 +89,12 @@ class TestFraming:
 
 class TestPayloadCodecs:
     def test_hello_roundtrip(self):
-        data = codec.encode_hello(512, 100_000, 64)
+        sid = b"\x00" * codec.SESSION_ID_BYTES
+        data = codec.encode_hello(512, 100_000, 64, sid, 0)
         decoder = FrameDecoder()
         decoder.feed(data)
         frame = next(decoder.frames())
-        assert codec.decode_hello(frame.payload) == (512, 100_000, 64, None)
+        assert codec.decode_hello(frame.payload) == (512, 100_000, 64, sid)
 
     def test_hello_roundtrip_with_session_id(self):
         sid = bytes(range(16))
@@ -119,12 +135,15 @@ class TestPayloadCodecs:
 
     def test_hello_version_checked(self):
         bad = codec._HELLO.pack(codec.PROTOCOL_VERSION + 1, 512, 10, 5)
+        bad += bytes(codec.SESSION_ID_BYTES)
         with pytest.raises(ProtocolError):
             codec.decode_hello(bad)
 
     def test_hello_length_checked(self):
-        with pytest.raises(ProtocolError):
-            codec.decode_hello(b"short")
+        no_session_id = codec._HELLO.pack(codec.PROTOCOL_VERSION, 512, 10, 5)
+        for payload in (b"short", no_session_id):
+            with pytest.raises(ProtocolError, match="malformed HELLO"):
+                codec.decode_hello(payload)
 
     def test_public_key_roundtrip(self):
         n = 2**511 + 12345
@@ -186,23 +205,9 @@ class TestV2Framing:
         assert frame.frame_type == FrameType.ENC_CHUNK
         assert frame.payload == b"payload"
         assert frame.sequence == 42
-        assert frame.version == codec.WIRE_VERSION_2
-        assert frame.wire_bytes == len(data)
 
     def test_v2_header_is_16_bytes(self):
         assert len(codec.encode_frame(FrameType.ACK, b"", sequence=0)) == 16
-
-    def test_v1_and_v2_interleave_on_one_stream(self):
-        stream = (
-            codec.encode_frame(FrameType.ERROR, b"v1")
-            + codec.encode_frame(FrameType.ERROR, b"v2", sequence=1)
-            + codec.encode_frame(FrameType.ERROR, b"v1-again")
-        )
-        decoder = FrameDecoder()
-        decoder.feed(stream)
-        frames = list(decoder.frames())
-        assert [f.version for f in frames] == [1, 2, 1]
-        assert [f.payload for f in frames] == [b"v1", b"v2", b"v1-again"]
 
     def test_payload_corruption_caught_by_crc(self):
         data = bytearray(codec.encode_frame(FrameType.RESULT, b"x" * 32, sequence=3))
@@ -239,7 +244,7 @@ class TestV2Framing:
 
 
 class TestFuzzDecoder:
-    """Seeded random mutations of valid v2 streams: every outcome must be
+    """Seeded random mutations of valid streams: every outcome must be
     either a clean decode of original frames or a ``ProtocolError`` —
     never a different exception, never a silently different frame."""
 
@@ -293,7 +298,6 @@ class TestFuzzDecoder:
         # Clean decode: every surfaced frame must re-encode to one of the
         # original wire frames, byte for byte — no silent damage.
         for frame in decoded:
-            assert frame.version == codec.WIRE_VERSION_2
             reencoded = codec.encode_frame(
                 frame.frame_type, frame.payload, sequence=frame.sequence
             )

@@ -1,6 +1,7 @@
 """Tests for the deployable byte-stream sessions (incl. real sockets)."""
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -11,7 +12,7 @@ from repro.crypto.rng import DeterministicRandom
 from repro.crypto.scheme import SchemeKeyPair
 from repro.datastore.database import ServerDatabase
 from repro.datastore.workload import WorkloadGenerator
-from repro.exceptions import ProtocolError, SessionResumeError
+from repro.exceptions import ProtocolError
 from repro.net import codec
 from repro.net.codec import FrameType
 from repro.spfe.session import (
@@ -394,8 +395,8 @@ class TestValidationAndErrors:
     def test_client_rejects_unexpected_frame(self, workload_bytes):
         _, selection = workload_bytes
         client = make_client(selection)
-        bogus = codec.encode_hello(128, 10, 5)
-        with pytest.raises(ProtocolError):
+        bogus = codec.encode_hello(128, 10, 5, bytes(codec.SESSION_ID_BYTES), 0)
+        with pytest.raises(ProtocolError, match="expected RESULT"):
             client.receive_bytes(bogus)
 
     def test_client_rejects_unsolicited_ack(self, workload_bytes):
@@ -519,16 +520,6 @@ class TestResume:
         decoder = codec.FrameDecoder()
         decoder.feed(reply)
         assert next(decoder.frames()).frame_type == FrameType.ERROR
-
-    def test_v1_wire_cannot_resume(self, workload_bytes):
-        database, selection = workload_bytes
-        client = make_client(selection, wire_version=1)
-        assert client.session_id is None
-        with pytest.raises(SessionResumeError):
-            client.resume_request()
-        # ...but the legacy wire still completes against a v2 server.
-        value = run_sessions_in_memory(client, ServerSession(database))
-        assert value == database.select_sum(selection)
 
     def test_resume_without_registry_says_unknown(self, workload_bytes):
         database, selection = workload_bytes
@@ -688,7 +679,7 @@ class TestConcurrentRegistry:
 
 
 class TestServerPolicyEnforcement:
-    """ServerSession with a policy rejects hostile-but-well-formed input."""
+    """ServerSession's policy rejects hostile-but-well-formed input."""
 
     def _policy(self, **kwargs):
         from repro.spfe.validation import ServerPolicy
@@ -767,6 +758,28 @@ class TestServerPolicyEnforcement:
         with pytest.raises(PolicyViolation):
             run_sessions_in_memory(client, server)
 
+        # The quota is per connection: a RESUME on a new connection
+        # starts from zero, so a session too big for one connection's
+        # quota completes when split over two.
+        policy = self._policy(max_session_bytes=1200, max_frame_payload=600)
+        client = make_client(selection, chunk_size=15)
+        frames = list(client.initial_bytes())  # HELLO, key, 4 x 500 B
+        assert sum(map(len, frames)) > policy.max_session_bytes
+        with pytest.raises(PolicyViolation):
+            drive(frames, ServerSession(database, policy=policy), client)
+        registry = SessionRegistry.from_policy(policy)
+        first = ServerSession(database, registry=registry, policy=policy)
+        drive(frames[:4], first, client)
+        assert not first.errored
+        second = ServerSession(database, registry=registry, policy=policy)
+        client.receive_bytes(second.receive_bytes(client.resume_request()))
+        drive(client.resume_bytes(), second, client)
+        assert not second.errored
+        assert first.bytes_received + second.bytes_received > (
+            policy.max_session_bytes
+        )
+        assert client.result == database.select_sum(selection)
+
     def test_errored_session_loses_resume_state(self, workload_bytes):
         """A rejected peer must restart, never resume poisoned state."""
         from repro.net import codec
@@ -786,6 +799,50 @@ class TestServerPolicyEnforcement:
         )
         assert server.errored
         assert client.session_id not in registry
+
+    def test_headerless_chunk_spliced_into_session_is_rejected(self):
+        """A chunk framed without magic, CRC or sequence number, spliced
+        after a valid HELLO and key, must be refused, not folded: folding
+        it as chunk 0 would make the honest chunk 0 a "duplicate" and the
+        client would decrypt 3007 for a true sum of 10."""
+        database = ServerDatabase([1, 2, 3, 4])
+        client = make_client([1, 1, 1, 1], chunk_size=2)
+        server = ServerSession(database, policy=self._policy())
+        frames = list(client.initial_bytes())
+        assert server.receive_bytes(frames[0]) == b""  # HELLO
+        assert server.receive_bytes(frames[1]) == b""  # PUBLIC_KEY
+        forged = codec.encode_ciphertext_chunk(
+            [client.public_key.encrypt_raw(1000) for _ in range(2)], 128, 0
+        )[16:]
+        reply = server.receive_bytes(
+            struct.pack(">II", FrameType.ENC_CHUNK, len(forged)) + forged
+        )
+        (frame,) = _decode_frames(reply)
+        assert frame.frame_type == FrameType.ERROR
+        assert server.errored
+        assert server.chunk_frames_processed == 0
+        assert client.session_id not in server.registry
+
+    def test_bare_session_rejects_non_coprime_ciphertext(self, workload_bytes):
+        """Without an explicit policy the session still runs the full
+        Z*_{n^2} membership check, gcd included."""
+        from repro.exceptions import ValidationError
+
+        database, selection = workload_bytes
+        client = make_client(selection, chunk_size=1)
+        server = ServerSession(database)
+        stream = client.initial_bytes()
+        server.receive_bytes(next(stream))  # HELLO
+        server.receive_bytes(next(stream))  # PUBLIC_KEY
+        reply = server.receive_bytes(
+            codec.encode_ciphertext_chunk([client.public_key.n], 128, 0)
+        )
+        assert server.errored
+        assert isinstance(server.last_error, ValidationError)
+        (frame,) = _decode_frames(reply)
+        code, _message = codec.decode_error(frame.payload)
+        assert code == codec.ERROR_CODE_VALIDATION
+        assert server.chunk_frames_processed == 0
 
     def test_typed_error_surfaces_client_side(self, workload_bytes):
         from repro.exceptions import PolicyViolation

@@ -7,7 +7,6 @@ import pytest
 from repro.cli import main
 from repro.experiments.series import ExperimentSeries
 from repro.experiments.tables import render_chart, render_table
-from repro.net.codec import Frame, FrameType
 from repro.spfe.base import SelectedSumBase
 
 
@@ -43,12 +42,6 @@ class TestRenderingEdges:
         assert "0.1234" in text
         assert "12.30" in text
         assert "9999" in text
-
-
-class TestFrameProperties:
-    def test_wire_bytes_includes_header(self):
-        frame = Frame(FrameType.ERROR, b"12345")
-        assert frame.wire_bytes == 8 + 5
 
 
 class TestAbstractBase:
